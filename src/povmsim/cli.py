@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -271,8 +272,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value is a comma-separated vector, and a value that starts
+# like a negative number.
+_VECTOR_OPTIONS = ("--state", "--settings")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--state -0.3,0.1,0.2`` as ``--state=-0.3,0.1,0.2``.
+
+    argparse reads a token that starts with ``-`` as an option unless it is
+    a single negative number, so a vector with a negative first component
+    would otherwise be rejected as a missing value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_vector_values(argv))
     try:
         return args.func(args)
     except FrameNotFoundError as exc:

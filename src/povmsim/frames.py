@@ -17,11 +17,18 @@ continuous even function on the sphere.  This module certifies frames:
   cross,
 * the general case runs a minimax grid-plus-refinement search over
   rotations.
+
+Closure (``sum_i p_i a_i = 0``) makes ``mass`` even, so antipodal vertices
+carry equal values and the grid search evaluates only the four vertices
+``OCTANT_SIGNS[:4]`` of each rotation.  It scans the grid in fixed blocks
+and returns the first rotation that certifies, so a typical search touches
+one block; a full scan happens only when no grid point certifies, and then
+each simplex refinement stops as soon as it reaches a value of at most 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -166,12 +173,20 @@ def cube_vertex_identities(a, cube: CubeVertices, atol: float = 1e-10) -> CubeId
 
 @dataclass(frozen=True, eq=False)
 class FrameCertificate:
-    """A rotation plus the eight vertex values proving ``mass(v_s) <= 1``."""
+    """A rotation plus the eight vertex values proving ``mass(v_s) <= 1``.
+
+    ``grid_scanned`` counts the grid rotations the minimax search evaluated
+    and ``refine_evals`` the objective calls of its simplex refinement; both
+    are 0 on the other routes and when a hint certifies.  The counters are
+    deterministic and are not part of :meth:`to_dict`.
+    """
 
     cube: CubeVertices
     vertex_values: np.ndarray
     max_value: float
     method: FrameMethod
+    grid_scanned: int = 0
+    refine_evals: int = 0
 
     @property
     def rotation(self) -> np.ndarray:
@@ -207,11 +222,14 @@ def evaluate_frame(
 # Minimax search machinery.
 
 _GRID_STEP_DEG = 5.0
+# Rotations per grid block; the scan stops at the end of the first block
+# holding a certifying rotation.
+_GRID_BLOCK = 512
 _GRID_CACHE: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def _euler_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached rotation grid: Euler triples, matrices and cube vertices.
+    """Cached rotation grid: Euler triples, matrices and four cube vertices.
 
     The objective is invariant under the 24 rotations of the cube, so the
     grid only needs one representative per symmetry class.  Right
@@ -219,7 +237,9 @@ def _euler_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of the +/- columns, one of which always lies within 54.74 degrees of
     the z axis, and quarter turns about z cover gamma periods of 90
     degrees.  Hence beta <= 60 degrees (with slack) and gamma < 90 degrees
-    suffice.
+    suffice.  The objective is also even, so each rotation keeps only the
+    vertices ``R s`` for ``s`` in ``OCTANT_SIGNS[:4]``, whose antipodes are
+    the other four; the vertex array has shape ``(n_rotations, 4, 3)``.
     """
     global _GRID_CACHE
     if _GRID_CACHE is None:
@@ -230,16 +250,16 @@ def _euler_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         grid = np.stack(np.meshgrid(alphas, betas, gammas, indexing="ij"), axis=-1)
         angles = grid.reshape(-1, 3)
         mats = euler_zyz_matrices(angles)
-        verts = np.einsum("gij,sj->gsi", mats, OCTANT_SIGNS)
-        _GRID_CACHE = (angles, mats, verts.reshape(-1, 3))
+        verts = np.einsum("gij,sj->gsi", mats, OCTANT_SIGNS[:4])
+        _GRID_CACHE = (angles, mats, verts)
     return _GRID_CACHE
 
 
-def _grid_maxima(povm: QubitPovm) -> np.ndarray:
-    """Largest vertex value for every grid rotation, in grid scan order."""
-    _, _, verts_flat = _euler_grid()
-    values = positive_part(verts_flat @ povm.directions.T) @ povm.weights
-    return values.reshape(-1, 8).max(axis=1)
+def _grid_maxima(povm: QubitPovm, start: int, stop: int) -> np.ndarray:
+    """Largest vertex value for grid rotations ``start:stop``, in scan order."""
+    _, _, verts = _euler_grid()
+    values = positive_part(verts[start:stop].reshape(-1, 3) @ povm.directions.T) @ povm.weights
+    return values.reshape(-1, 4).max(axis=1)
 
 
 def _euler_objective(povm: QubitPovm):
@@ -253,6 +273,15 @@ def _euler_objective(povm: QubitPovm):
     return objective
 
 
+def _stop_once_certified(intermediate_result) -> None:
+    # Refinement only has to certify, not converge.  scipy passes the
+    # current best point as an OptimizeResult to a callback whose single
+    # parameter is named ``intermediate_result``, and ends the run on
+    # StopIteration.
+    if intermediate_result.fun <= 1.0:
+        raise StopIteration
+
+
 def _find_frame_minimax(povm: QubitPovm, hint) -> FrameCertificate:
     bound = 1.0 + FRAME_ATOL
     if hint is not None:
@@ -260,30 +289,40 @@ def _find_frame_minimax(povm: QubitPovm, hint) -> FrameCertificate:
         if cert.max_value <= bound:
             return cert
     angles, mats, _ = _euler_grid()
-    maxima = _grid_maxima(povm)
+    n_grid = len(angles)
     # Acceptance is decided on the certificate's own re-evaluated values;
-    # a handful of early hits is tried in case one sits within rounding of
-    # the bound.
-    for idx in np.flatnonzero(maxima <= bound)[:32]:
-        cert = evaluate_frame(povm, mats[idx], FrameMethod.MINIMAX_SEARCH, check=False)
-        if cert.max_value <= bound:
-            return cert
+    # up to 32 hits are tried, in scan order, in case one sits within
+    # rounding of the bound.
+    rechecks_left = 32
+    blocks = []
+    for start in range(0, n_grid, _GRID_BLOCK):
+        stop = min(start + _GRID_BLOCK, n_grid)
+        block = _grid_maxima(povm, start, stop)
+        blocks.append(block)
+        for idx in start + np.flatnonzero(block <= bound)[:rechecks_left]:
+            rechecks_left -= 1
+            cert = evaluate_frame(povm, mats[idx], FrameMethod.MINIMAX_SEARCH, check=False)
+            if cert.max_value <= bound:
+                return replace(cert, grid_scanned=stop)
     # No grid point certifies; polish the best candidates with a simplex
-    # search (10 multistarts, 2000 iterations each).
+    # search (10 multistarts, at most 2000 iterations each).
+    maxima = np.concatenate(blocks)
     objective = _euler_objective(povm)
-    order = np.argsort(maxima, kind="stable")[:10]
-    for idx in order:
+    evals = 0
+    for idx in np.argsort(maxima, kind="stable")[:10]:
         result = minimize(
             objective,
             angles[idx],
             method="Nelder-Mead",
+            callback=_stop_once_certified,
             options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-14},
         )
+        evals += result.nfev
         if result.fun <= bound:
             rot = euler_zyz_matrices(result.x[None, :])[0]
             cert = evaluate_frame(povm, rot, FrameMethod.MINIMAX_SEARCH, check=False)
             if cert.max_value <= bound:
-                return cert
+                return replace(cert, grid_scanned=n_grid, refine_evals=evals)
     raise FrameNotFoundError(
         f"no frame with max vertex value <= {bound} found within the search budget"
     )
@@ -299,16 +338,15 @@ def _find_frame_coplanar(povm: QubitPovm) -> FrameCertificate:
     base = orthonormal_frame(normal)
     frame0 = np.column_stack([base[:, 1], base[:, 2], base[:, 0]])
 
-    def vertex_pair(angle: float) -> tuple[float, float]:
-        c, s = np.cos(angle), np.sin(angle)
-        rot = frame0 @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        c1 = projection_mass(povm, rot @ np.array([1.0, 1.0, 1.0]))
-        c2 = projection_mass(povm, rot @ np.array([1.0, -1.0, 1.0]))
-        return c1, c2
-
     def rotation_at(angle: float) -> np.ndarray:
         c, s = np.cos(angle), np.sin(angle)
         return frame0 @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    def vertex_pair(angle: float) -> tuple[float, float]:
+        rot = rotation_at(angle)
+        c1 = projection_mass(povm, rot @ np.array([1.0, 1.0, 1.0]))
+        c2 = projection_mass(povm, rot @ np.array([1.0, -1.0, 1.0]))
+        return c1, c2
 
     c1, c2 = vertex_pair(0.0)
     gap = c1 - c2
@@ -341,9 +379,15 @@ def find_frame(povm: QubitPovm, hint=None) -> FrameCertificate:
       values equal 1 exactly.
     * coplanar directions (every 3-outcome POVM in particular): z axis
       normal to the plane, bisection over the in-plane angle.
-    * general: grid search over Euler angles followed by simplex
-      refinement, accepting the first rotation found within tolerance.
-      ``hint`` (a rotation) is tried before the grid.
+    * general: ``hint`` (a rotation) is tried first.  Then a 5-degree
+      Euler-angle grid is scanned in blocks of ``_GRID_BLOCK`` rotations,
+      four vertex values each (the other four are their antipodes); the
+      first grid rotation, in scan order, that certifies on all eight
+      re-evaluated vertices is returned without scanning later blocks.
+      Only if no grid point certifies are the 10 best grid points refined
+      by Nelder-Mead, each run stopping once its best value is at most 1;
+      its result is re-evaluated on all eight vertices before it is
+      accepted.
 
     Raises :class:`FrameNotFoundError` if the search budget is exhausted,
     which signals a numerical pathology since a valid frame always exists.

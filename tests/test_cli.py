@@ -83,6 +83,14 @@ class TestSimulateCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_negative_leading_state(self):
+        common = ("-p", str(fixture_path("sic.json")), "--samples", "1000", "--seed", "1")
+        code1, out1, err1 = run_cli("simulate", "--state", "-0.3,0.1,0.2", *common)
+        code2, out2, _ = run_cli("simulate", "--state=-0.3,0.1,0.2", *common)
+        assert code1 == code2 == 0, err1
+        assert out1 == out2
+        assert json.loads(out1)["state"] == [-0.3, 0.1, 0.2]
+
     def test_bad_state_exits_2(self):
         code, _, _ = run_cli(
             "simulate", "-p", str(fixture_path("sic.json")), "--state", "2,0,0",
@@ -133,6 +141,11 @@ class TestChshCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["value"] == pytest.approx(2.0, abs=1e-12)
+
+    def test_negative_leading_settings(self, capsys):
+        code = main(["chsh", "--eta", "1.0", "--settings", "-1,0,0;-1,0,0;-1,0,0;-1,0,0"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestRandomCommand:

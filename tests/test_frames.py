@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from povmsim.bloch import random_rotations, random_unit_vectors
 from povmsim.frames import (
+    _GRID_BLOCK,
     FRAME_ATOL,
     OCTANT_SIGNS,
     CubeVertices,
     FrameMethod,
+    _euler_grid,
+    _grid_maxima,
     check_sic_universal_frame,
     cube_vertex_identities,
     evaluate_frame,
@@ -21,6 +24,37 @@ from povmsim.frames import (
 from povmsim.povm import QubitPovm, projective_povm, random_povm, sic_povm, trine_povm
 
 finite = st.floats(min_value=-1e6, max_value=1e6)
+
+
+def general_position_povm(n: int, seed: int) -> QubitPovm:
+    """``n - 1`` weighted random directions plus the direction closing them.
+
+    ``random_povm(4, .)`` is always coplanar; this family is in general
+    position from 4 outcomes on.
+    """
+    rng = np.random.default_rng(seed)
+    dirs = random_unit_vectors(n - 1, rng)
+    weights = rng.uniform(0.2, 1.0, n - 1)
+    rest = weights @ dirs
+    norm = np.linalg.norm(rest)
+    weights = np.append(weights, norm)
+    return QubitPovm(2.0 * weights / weights.sum(), np.vstack([dirs, -rest / norm]))
+
+
+def full_grid_scan(povm: QubitPovm):
+    """Grid index the full 8-vertex scan certifies, or None.
+
+    Reference for the blocked 4-vertex search: every grid rotation is
+    evaluated on all eight vertices, and the first of the first 32 grid
+    hits whose re-evaluated certificate passes is returned.
+    """
+    _, mats, _ = _euler_grid()
+    verts = np.einsum("gij,sj->gsi", mats, OCTANT_SIGNS).reshape(-1, 3)
+    maxima = projection_mass(povm, verts).reshape(-1, 8).max(axis=1)
+    for idx in np.flatnonzero(maxima <= 1.0 + FRAME_ATOL)[:32]:
+        if evaluate_frame(povm, mats[idx], check=False).max_value <= 1.0 + FRAME_ATOL:
+            return idx
+    return None
 
 
 class TestPositivePart:
@@ -172,6 +206,61 @@ class TestFindFrame:
         assert projection_mass(povm, cube.vertices).max() > 1.0 + FRAME_ATOL
         with pytest.raises(ValueError):
             evaluate_frame(povm, np.eye(3))
+
+
+class TestGridSearch:
+    def test_four_values_equal_their_antipodes(self):
+        _, _, verts = _euler_grid()
+        assert verts.shape[1:] == (4, 3)
+        flat = verts.reshape(-1, 3)
+        for seed in range(5):
+            povm = general_position_povm(4 + 6 * seed, 500 + seed)
+            np.testing.assert_allclose(
+                projection_mass(povm, flat), projection_mass(povm, -flat), atol=1e-12
+            )
+            eight = projection_mass(povm, np.concatenate([flat, -flat])).reshape(2, -1, 4)
+            np.testing.assert_allclose(
+                _grid_maxima(povm, 0, len(verts)), eight.max(axis=(0, 2)), atol=1e-12
+            )
+
+    def test_matches_full_eight_vertex_scan(self):
+        _, mats, _ = _euler_grid()
+        compared = later_blocks = 0
+        for seed in range(220):
+            povm = general_position_povm(4 + seed % 27, 2000 + seed)
+            idx = full_grid_scan(povm)
+            if idx is None:
+                continue
+            cert = find_frame(povm)
+            np.testing.assert_array_equal(cert.rotation, mats[idx])
+            # The scan stops at the end of the block holding the hit.
+            assert cert.grid_scanned == min((idx // _GRID_BLOCK + 1) * _GRID_BLOCK, len(mats))
+            assert cert.refine_evals == 0
+            compared += 1
+            later_blocks += idx >= _GRID_BLOCK
+        assert compared >= 200
+        assert later_blocks > 0
+
+    def test_grid_miss_refines_to_a_certificate(self):
+        _, mats, _ = _euler_grid()
+        povm = next(
+            p for p in (random_povm(5 + seed % 6, 7000 + seed) for seed in range(500))
+            if full_grid_scan(p) is None
+        )
+        cert = find_frame(povm)
+        assert cert.method is FrameMethod.MINIMAX_SEARCH
+        assert cert.max_value <= 1.0 + FRAME_ATOL
+        assert cert.grid_scanned == len(mats)
+        assert cert.refine_evals > 0
+
+    def test_counters_zero_off_the_grid(self):
+        hinted = find_frame(sic_povm(), hint=np.eye(3))
+        assert hinted.method is FrameMethod.MINIMAX_SEARCH
+        for cert in (hinted, find_frame(projective_povm([0, 0, 1])), find_frame(trine_povm())):
+            assert cert.grid_scanned == 0
+            assert cert.refine_evals == 0
+        # The counters stay out of the serialised certificate.
+        assert set(hinted.to_dict()) == {"rotation", "vertex_values", "max_value", "method"}
 
 
 class TestSicUniversalFrame:
