@@ -3,8 +3,9 @@
 The conditional probabilities are only well defined in a frame where the
 projection mass at every rotated cube vertex is at most one.  Three routes
 certify such a frame: an exact alignment for two-outcome POVMs, an
-intermediate-value bisection for coplanar POVMs, and a minimax search over
-rotations in general.
+intermediate-value bisection for coplanar POVMs, and in general a closed
+form, the eigenbasis of the second-moment matrix ``sum_i p_i a_i a_i^T``
+(the identity is kept when it already certifies).
 """
 
 import numpy as np

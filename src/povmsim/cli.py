@@ -9,8 +9,9 @@ Subcommands::
     povmsim random  N --seed S --out FILE        generate a random POVM file
 
 Exit codes: 0 success, 1 verification/statistics failure, 2 parse or
-validation error, 3 frame search failure.  All stochastic paths are seeded,
-so a repeated invocation produces byte-identical output.
+validation error, 3 internal numerical failure in frame certification.
+All stochastic paths are seeded, so a repeated invocation produces
+byte-identical output.
 """
 
 from __future__ import annotations

@@ -1,40 +1,50 @@
-"""Coordinate-frame search for the parent-measurement construction.
+"""Certified coordinate frames for the parent-measurement construction.
 
 For a rank-1 POVM ``{(p_i, a_i)}`` define the even, positively homogeneous
 function
 
-    mass(x) = sum_i p_i * max(x . a_i, 0) = (1/2) sum_i p_i |x . a_i|.
+    mass(x) = sum_i p_i * max(x . a_i, 0) = (1/2) sum_i p_i |x . a_i|,
 
-The simulation protocol needs a rotated cube, vertices
-``v_s = R (s_x, s_y, s_z)^T`` with ``s_k = +/-1``, on which ``mass(v_s) <= 1``
-for all eight vertices.  Such a frame always exists because the eight values
-sum to at most 8 in every frame and an equalising rotation exists for any
-continuous even function on the sphere.  This module certifies frames:
+where the second form uses closure, ``sum_i p_i a_i = 0``.  The simulation
+protocol needs a rotated cube, vertices ``v_s = R s`` with
+``s in {+1, -1}^3``, on which ``mass(v_s) <= 1`` for all eight vertices.
+Such a frame always exists, and has a closed form:
 
-* two-outcome POVMs admit an exact frame (x axis along the first direction),
-* coplanar POVMs (all three-outcome ones in particular) are handled by
-  bisecting an in-plane rotation angle until the two distinct vertex values
-  cross,
-* the general case runs a minimax grid-plus-refinement search over
-  rotations.
+1. Let ``M = sum_i p_i a_i a_i^T``; then ``tr M = sum_i p_i = 2``.
+2. Let the columns of ``R`` be eigenvectors of ``M``.  For every vertex,
+   ``v_s^T M v_s = s^T (R^T M R) s = tr M = 2``, since ``R^T M R`` is
+   diagonal and ``s_k^2 = 1``.
+3. Cauchy-Schwarz:
+   ``mass(v_s) <= (1/2) sqrt(sum_i p_i) sqrt(sum_i p_i (v_s . a_i)^2)
+   = (1/2) sqrt(2) sqrt(2) = 1``.
 
-Closure (``sum_i p_i a_i = 0``) makes ``mass`` even, so antipodal vertices
-carry equal values and the grid search evaluates only the four vertices
-``OCTANT_SIGNS[:4]`` of each rotation.  It scans the grid in fixed blocks
-and returns the first rotation that certifies, so a typical search touches
-one block; a full scan happens only when no grid point certifies, and then
-each simplex refinement stops as soon as it reaches a value of at most 1.
+For the tetrahedral (SIC) POVM ``M = (2/3) I``, so every frame certifies
+(:func:`check_sic_universal_frame`).  The bound is tight exactly when all
+``|v_s . a_i|`` are equal, as for the octahedral POVM in its own frame.
+
+Tolerances.  A POVM accepted by ``require_valid`` meets its invariants only
+to ``VALIDATION_ATOL = 1e-10``.  A closure residual ``r`` adds
+``(1/2) v_s . r``, at most ``(sqrt(3)/2) |r|`` or about 0.9e-10, to the
+positive-part form.  A weight-sum residual ``e_w`` and unit-norm residual
+``e_n`` enter through ``sum_i p_i = 2 + e_w`` and
+``tr M = sum_i p_i |a_i|^2``, and raise the bound of step 3 to about
+``1 + e_w / 2 + e_n``, at most 1 + 1.5e-10.  With the round-off of ``eigh``
+the total stays below ``FRAME_ATOL = 1e-9``, the slack every certificate is
+checked against.
+
+:func:`find_frame` keeps three routes: an exact frame for two outcomes, an
+in-plane bisection for coplanar directions, and, in general, the hint, the
+identity or the eigenframe of ``M``, whichever certifies first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .bloch import euler_zyz_matrices, orthonormal_frame, random_unit_vectors, require_rotation
+from .bloch import orthonormal_frame, random_unit_vectors, require_rotation, rotation_from_euler_zyz
 from .povm import QubitPovm, require_valid
 
 # A frame certifies when the largest vertex value is below 1 + FRAME_ATOL.
@@ -54,7 +64,7 @@ OCTANT_LABELS = tuple(
 
 
 class FrameNotFoundError(RuntimeError):
-    """Search budget exhausted without certifying a frame."""
+    """No route certified a frame: an internal numerical failure."""
 
 
 class FrameMethod(str, Enum):
@@ -175,18 +185,15 @@ def cube_vertex_identities(a, cube: CubeVertices, atol: float = 1e-10) -> CubeId
 class FrameCertificate:
     """A rotation plus the eight vertex values proving ``mass(v_s) <= 1``.
 
-    ``grid_scanned`` counts the grid rotations the minimax search evaluated
-    and ``refine_evals`` the objective calls of its simplex refinement; both
-    are 0 on the other routes and when a hint certifies.  The counters are
-    deterministic and are not part of :meth:`to_dict`.
+    ``method`` names the route that produced the rotation.  A certificate
+    from :func:`find_frame` has ``max_value <= 1 + FRAME_ATOL``; one from
+    :func:`evaluate_frame` with ``check=False`` need not.
     """
 
     cube: CubeVertices
     vertex_values: np.ndarray
     max_value: float
     method: FrameMethod
-    grid_scanned: int = 0
-    refine_evals: int = 0
 
     @property
     def rotation(self) -> np.ndarray:
@@ -218,114 +225,35 @@ def evaluate_frame(
     return FrameCertificate(cube=cube, vertex_values=values, max_value=max_value, method=method)
 
 
-# ---------------------------------------------------------------------------
-# Minimax search machinery.
+def _second_moment_frame(povm: QubitPovm) -> np.ndarray:
+    """Eigenbasis of ``M = sum_i p_i a_i a_i^T`` as a deterministic rotation.
 
-_GRID_STEP_DEG = 5.0
-# Rotations per grid block; the scan stops at the end of the first block
-# holding a certifying rotation.
-_GRID_BLOCK = 512
-_GRID_CACHE: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
-def _euler_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached rotation grid: Euler triples, matrices and four cube vertices.
-
-    The objective is invariant under the 24 rotations of the cube, so the
-    grid only needs one representative per symmetry class.  Right
-    multiplication by a cube rotation can send the frame's z column to any
-    of the +/- columns, one of which always lies within 54.74 degrees of
-    the z axis, and quarter turns about z cover gamma periods of 90
-    degrees.  Hence beta <= 60 degrees (with slack) and gamma < 90 degrees
-    suffice.  The objective is also even, so each rotation keeps only the
-    vertices ``R s`` for ``s`` in ``OCTANT_SIGNS[:4]``, whose antipodes are
-    the other four; the vertex array has shape ``(n_rotations, 4, 3)``.
+    Columns follow ascending eigenvalues, the largest-magnitude entry of
+    each column is positive, and the last column is negated if needed to
+    make the determinant +1.
     """
-    global _GRID_CACHE
-    if _GRID_CACHE is None:
-        step = np.deg2rad(_GRID_STEP_DEG)
-        alphas = np.arange(0.0, 2.0 * np.pi - 1e-9, step)
-        betas = np.arange(0.0, np.deg2rad(60.0) + 1e-9, step)
-        gammas = np.arange(0.0, np.deg2rad(90.0) - 1e-9, step)
-        grid = np.stack(np.meshgrid(alphas, betas, gammas, indexing="ij"), axis=-1)
-        angles = grid.reshape(-1, 3)
-        mats = euler_zyz_matrices(angles)
-        verts = np.einsum("gij,sj->gsi", mats, OCTANT_SIGNS[:4])
-        _GRID_CACHE = (angles, mats, verts)
-    return _GRID_CACHE
+    d = povm.directions
+    _, vecs = np.linalg.eigh((d.T * povm.weights) @ d)
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(3)]
+    vecs = vecs * np.where(pivots < 0, -1.0, 1.0)
+    if np.linalg.det(vecs) < 0:
+        vecs[:, 2] = -vecs[:, 2]
+    return vecs
 
 
-def _grid_maxima(povm: QubitPovm, start: int, stop: int) -> np.ndarray:
-    """Largest vertex value for grid rotations ``start:stop``, in scan order."""
-    _, _, verts = _euler_grid()
-    values = positive_part(verts[start:stop].reshape(-1, 3) @ povm.directions.T) @ povm.weights
-    return values.reshape(-1, 4).max(axis=1)
-
-
-def _euler_objective(povm: QubitPovm):
-    signs = OCTANT_SIGNS
-
-    def objective(angles: np.ndarray) -> float:
-        rot = euler_zyz_matrices(angles[None, :])[0]
-        verts = signs @ rot.T
-        return float((positive_part(verts @ povm.directions.T) @ povm.weights).max())
-
-    return objective
-
-
-def _stop_once_certified(intermediate_result) -> None:
-    # Refinement only has to certify, not converge.  scipy passes the
-    # current best point as an OptimizeResult to a callback whose single
-    # parameter is named ``intermediate_result``, and ends the run on
-    # StopIteration.
-    if intermediate_result.fun <= 1.0:
-        raise StopIteration
+# The identity as the zero z-y-z Euler rotation, which carries -0.0 at
+# [0, 1] and [2, 0].  Certificates print those signed zeros, so seeded
+# `verify` output depends on this exact matrix, not just on its values.
+_IDENTITY = rotation_from_euler_zyz(0.0, 0.0, 0.0)
 
 
 def _find_frame_minimax(povm: QubitPovm, hint) -> FrameCertificate:
-    bound = 1.0 + FRAME_ATOL
-    if hint is not None:
-        cert = evaluate_frame(povm, hint, FrameMethod.MINIMAX_SEARCH, check=False)
-        if cert.max_value <= bound:
-            return cert
-    angles, mats, _ = _euler_grid()
-    n_grid = len(angles)
-    # Acceptance is decided on the certificate's own re-evaluated values;
-    # up to 32 hits are tried, in scan order, in case one sits within
-    # rounding of the bound.
-    rechecks_left = 32
-    blocks = []
-    for start in range(0, n_grid, _GRID_BLOCK):
-        stop = min(start + _GRID_BLOCK, n_grid)
-        block = _grid_maxima(povm, start, stop)
-        blocks.append(block)
-        for idx in start + np.flatnonzero(block <= bound)[:rechecks_left]:
-            rechecks_left -= 1
-            cert = evaluate_frame(povm, mats[idx], FrameMethod.MINIMAX_SEARCH, check=False)
-            if cert.max_value <= bound:
-                return replace(cert, grid_scanned=stop)
-    # No grid point certifies; polish the best candidates with a simplex
-    # search (10 multistarts, at most 2000 iterations each).
-    maxima = np.concatenate(blocks)
-    objective = _euler_objective(povm)
-    evals = 0
-    for idx in np.argsort(maxima, kind="stable")[:10]:
-        result = minimize(
-            objective,
-            angles[idx],
-            method="Nelder-Mead",
-            callback=_stop_once_certified,
-            options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-14},
-        )
-        evals += result.nfev
-        if result.fun <= bound:
-            rot = euler_zyz_matrices(result.x[None, :])[0]
-            cert = evaluate_frame(povm, rot, FrameMethod.MINIMAX_SEARCH, check=False)
-            if cert.max_value <= bound:
-                return replace(cert, grid_scanned=n_grid, refine_evals=evals)
-    raise FrameNotFoundError(
-        f"no frame with max vertex value <= {bound} found within the search budget"
-    )
+    for rotation in (hint, _IDENTITY):
+        if rotation is not None:
+            cert = evaluate_frame(povm, rotation, FrameMethod.MINIMAX_SEARCH, check=False)
+            if cert.max_value <= 1.0 + FRAME_ATOL:
+                return cert
+    return evaluate_frame(povm, _second_moment_frame(povm), FrameMethod.MINIMAX_SEARCH, check=False)
 
 
 def _find_frame_coplanar(povm: QubitPovm) -> FrameCertificate:
@@ -351,7 +279,7 @@ def _find_frame_coplanar(povm: QubitPovm) -> FrameCertificate:
     c1, c2 = vertex_pair(0.0)
     gap = c1 - c2
     if abs(gap) <= 1e-12:
-        return evaluate_frame(povm, frame0, FrameMethod.COPLANAR_BISECTION)
+        return evaluate_frame(povm, frame0, FrameMethod.COPLANAR_BISECTION, check=False)
     # A quarter turn swaps the two vertex classes, so the gap changes sign
     # on [0, pi/2]; bisect to the crossing, where both values are <= 1.
     lo, hi = 0.0, np.pi / 2.0
@@ -367,7 +295,9 @@ def _find_frame_coplanar(povm: QubitPovm) -> FrameCertificate:
             lo, gap_lo = mid, gap_mid
         else:
             hi = mid
-    return evaluate_frame(povm, rotation_at(0.5 * (lo + hi)), FrameMethod.COPLANAR_BISECTION)
+    return evaluate_frame(
+        povm, rotation_at(0.5 * (lo + hi)), FrameMethod.COPLANAR_BISECTION, check=False
+    )
 
 
 def find_frame(povm: QubitPovm, hint=None) -> FrameCertificate:
@@ -379,27 +309,29 @@ def find_frame(povm: QubitPovm, hint=None) -> FrameCertificate:
       values equal 1 exactly.
     * coplanar directions (every 3-outcome POVM in particular): z axis
       normal to the plane, bisection over the in-plane angle.
-    * general: ``hint`` (a rotation) is tried first.  Then a 5-degree
-      Euler-angle grid is scanned in blocks of ``_GRID_BLOCK`` rotations,
-      four vertex values each (the other four are their antipodes); the
-      first grid rotation, in scan order, that certifies on all eight
-      re-evaluated vertices is returned without scanning later blocks.
-      Only if no grid point certifies are the 10 best grid points refined
-      by Nelder-Mead, each run stopping once its best value is at most 1;
-      its result is re-evaluated on all eight vertices before it is
-      accepted.
+    * general: ``hint`` (a rotation), then the identity, then the eigenframe
+      of ``M = sum_i p_i a_i a_i^T``; the first that certifies is returned.
+      The eigenframe always certifies (see the module docstring).  Trying
+      the hint and the identity first returns a certifying hint unchanged
+      and keeps the standard basis wherever it certifies.
 
-    Raises :class:`FrameNotFoundError` if the search budget is exhausted,
-    which signals a numerical pathology since a valid frame always exists.
+    Every route ends in the same check on all eight re-evaluated vertex
+    values.  Raises :class:`FrameNotFoundError` if it fails, which signals
+    an internal numerical failure since a valid frame always exists.
     """
     require_valid(povm)
     if povm.n_outcomes == 2:
         rotation = orthonormal_frame(povm.directions[0])
-        return evaluate_frame(povm, rotation, FrameMethod.TWO_OUTCOME_EXACT)
-    smallest_sval = np.linalg.svd(povm.directions, compute_uv=False)[-1]
-    if smallest_sval < COPLANAR_SVAL:
-        return _find_frame_coplanar(povm)
-    return _find_frame_minimax(povm, hint)
+        cert = evaluate_frame(povm, rotation, FrameMethod.TWO_OUTCOME_EXACT, check=False)
+    elif np.linalg.svd(povm.directions, compute_uv=False)[-1] < COPLANAR_SVAL:
+        cert = _find_frame_coplanar(povm)
+    else:
+        cert = _find_frame_minimax(povm, hint)
+    if cert.max_value > 1.0 + FRAME_ATOL:
+        raise FrameNotFoundError(
+            f"{cert.method.value} frame does not certify: max vertex value {cert.max_value}"
+        )
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from povmsim.cli import main
+from povmsim import frames
+from povmsim.bloch import rotation_from_euler_zyz
+from povmsim.cli import EXIT_FRAME, main
 from povmsim.povm import fixture_path, load_povm
 
 
@@ -47,6 +49,18 @@ class TestVerifyCommand:
         bad.write_text(json.dumps({"outcomes": [{"p": 1.0, "a": [0, 0, 1]}]}))
         code, _, _ = run_cli("verify", "-p", str(bad))
         assert code == 2
+
+    def test_uncertified_frame_exits_3(self, monkeypatch, capsys):
+        # A rotation that sends the cube diagonal (1, 1, 1) onto the z axis
+        # puts a vertex value of sqrt(3) on the projective z measurement.
+        diagonal_on_z = rotation_from_euler_zyz(0.0, -np.arccos(1.0 / np.sqrt(3.0)), -np.pi / 4)
+        np.testing.assert_allclose(diagonal_on_z @ np.ones(3), [0.0, 0.0, np.sqrt(3.0)], atol=1e-12)
+        monkeypatch.setattr(frames, "orthonormal_frame", lambda axis: diagonal_on_z)
+        code = main(["verify", "-p", str(fixture_path("projective_z.json"))])
+        assert code == EXIT_FRAME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TwoOutcomeExact frame does not certify" in captured.err
 
     def test_csv_table_shape(self, tmp_path):
         out_file = tmp_path / "table.csv"

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmsim.bloch import random_rotations, random_unit_vectors
+from povmsim import frames
+from povmsim.bloch import random_rotations, random_unit_vectors, require_rotation
 from povmsim.frames import (
-    _GRID_BLOCK,
+    COPLANAR_SVAL,
     FRAME_ATOL,
     OCTANT_SIGNS,
     CubeVertices,
     FrameMethod,
-    _euler_grid,
-    _grid_maxima,
+    FrameNotFoundError,
+    _second_moment_frame,
     check_sic_universal_frame,
     cube_vertex_identities,
     evaluate_frame,
@@ -21,7 +22,16 @@ from povmsim.frames import (
     projection_mass_abs,
     total_vertex_mass,
 )
-from povmsim.povm import QubitPovm, projective_povm, random_povm, sic_povm, trine_povm
+from povmsim.povm import (
+    VALIDATION_ATOL,
+    QubitPovm,
+    povm_from_dict,
+    projective_povm,
+    random_povm,
+    sic_povm,
+    trine_povm,
+    validate,
+)
 
 finite = st.floats(min_value=-1e6, max_value=1e6)
 
@@ -41,20 +51,30 @@ def general_position_povm(n: int, seed: int) -> QubitPovm:
     return QubitPovm(2.0 * weights / weights.sum(), np.vstack([dirs, -rest / norm]))
 
 
-def full_grid_scan(povm: QubitPovm):
-    """Grid index the full 8-vertex scan certifies, or None.
+def near_projective_povm(n: int, seed: int, scale=(0.05, 0.15)) -> QubitPovm:
+    """``n - 2`` light random outcomes plus an antipodal pair carrying the rest.
 
-    Reference for the blocked 4-vertex search: every grid rotation is
-    evaluated on all eight vertices, and the first of the first 32 grid
-    hits whose re-evaluated certificate passes is returned.
+    The random outcomes take a ``scale`` share of their cap, so the POVM is
+    close to the projective measurement along the pair's axis: the
+    tight-margin family.
     """
-    _, mats, _ = _euler_grid()
-    verts = np.einsum("gij,sj->gsi", mats, OCTANT_SIGNS).reshape(-1, 3)
-    maxima = projection_mass(povm, verts).reshape(-1, 8).max(axis=1)
-    for idx in np.flatnonzero(maxima <= 1.0 + FRAME_ATOL)[:32]:
-        if evaluate_frame(povm, mats[idx], check=False).max_value <= 1.0 + FRAME_ATOL:
-            return idx
-    return None
+    rng = np.random.default_rng(seed)
+    dirs = random_unit_vectors(n - 2, rng)
+    weights = rng.uniform(0.2, 1.0, n - 2)
+    weights *= rng.uniform(*scale) * 2.0 / (weights.sum() + np.linalg.norm(weights @ dirs))
+    t = 1.0 - weights.sum() / 2.0
+    w = -(weights @ dirs) / 2.0
+    norm = np.linalg.norm(w)
+    return QubitPovm(
+        np.append(weights, [t + norm, t - norm]), np.vstack([dirs, w / norm, -w / norm])
+    )
+
+
+def assert_certified(povm: QubitPovm, method=FrameMethod.MINIMAX_SEARCH):
+    cert = find_frame(povm)
+    assert cert.method is method
+    assert cert.max_value <= 1.0 + FRAME_ATOL
+    return cert
 
 
 class TestPositivePart:
@@ -208,59 +228,180 @@ class TestFindFrame:
             evaluate_frame(povm, np.eye(3))
 
 
-class TestGridSearch:
-    def test_four_values_equal_their_antipodes(self):
-        _, _, verts = _euler_grid()
-        assert verts.shape[1:] == (4, 3)
-        flat = verts.reshape(-1, 3)
-        for seed in range(5):
-            povm = general_position_povm(4 + 6 * seed, 500 + seed)
-            np.testing.assert_allclose(
-                projection_mass(povm, flat), projection_mass(povm, -flat), atol=1e-12
-            )
-            eight = projection_mass(povm, np.concatenate([flat, -flat])).reshape(2, -1, 4)
-            np.testing.assert_allclose(
-                _grid_maxima(povm, 0, len(verts)), eight.max(axis=(0, 2)), atol=1e-12
-            )
+class TestClosedFormFrame:
+    def test_unhinted_sic_is_identity(self):
+        np.testing.assert_array_equal(find_frame(sic_povm()).rotation, np.eye(3))
 
-    def test_matches_full_eight_vertex_scan(self):
-        _, mats, _ = _euler_grid()
-        compared = later_blocks = 0
-        for seed in range(220):
-            povm = general_position_povm(4 + seed % 27, 2000 + seed)
-            idx = full_grid_scan(povm)
-            if idx is None:
-                continue
-            cert = find_frame(povm)
-            np.testing.assert_array_equal(cert.rotation, mats[idx])
-            # The scan stops at the end of the block holding the hit.
-            assert cert.grid_scanned == min((idx // _GRID_BLOCK + 1) * _GRID_BLOCK, len(mats))
-            assert cert.refine_evals == 0
-            compared += 1
-            later_blocks += idx >= _GRID_BLOCK
-        assert compared >= 200
-        assert later_blocks > 0
+    def test_certifying_hint_is_returned_unchanged(self):
+        # Every frame certifies the SIC POVM, so every rotation is a
+        # certifying hint.
+        for hint in random_rotations(20, np.random.default_rng(9)):
+            np.testing.assert_array_equal(find_frame(sic_povm(), hint=hint).rotation, hint)
 
-    def test_grid_miss_refines_to_a_certificate(self):
-        _, mats, _ = _euler_grid()
-        povm = next(
-            p for p in (random_povm(5 + seed % 6, 7000 + seed) for seed in range(500))
-            if full_grid_scan(p) is None
-        )
-        cert = find_frame(povm)
-        assert cert.method is FrameMethod.MINIMAX_SEARCH
+    def test_failing_hint_falls_through_to_the_eigenframe(self):
+        povm = near_projective_povm(6, 3)
+        hint = random_rotations(1, np.random.default_rng(10))[0]
+        for rotation in (hint, np.eye(3)):
+            assert evaluate_frame(povm, rotation, check=False).max_value > 1.0 + FRAME_ATOL
+        cert = find_frame(povm, hint=hint)
         assert cert.max_value <= 1.0 + FRAME_ATOL
-        assert cert.grid_scanned == len(mats)
-        assert cert.refine_evals > 0
+        np.testing.assert_array_equal(cert.rotation, _second_moment_frame(povm))
 
-    def test_counters_zero_off_the_grid(self):
-        hinted = find_frame(sic_povm(), hint=np.eye(3))
-        assert hinted.method is FrameMethod.MINIMAX_SEARCH
-        for cert in (hinted, find_frame(projective_povm([0, 0, 1])), find_frame(trine_povm())):
-            assert cert.grid_scanned == 0
-            assert cert.refine_evals == 0
-        # The counters stay out of the serialised certificate.
-        assert set(hinted.to_dict()) == {"rotation", "vertex_values", "max_value", "method"}
+    def test_repeat_is_bit_identical(self):
+        for seed in range(50):
+            povm = general_position_povm(4 + seed % 27, 3000 + seed)
+            first, second = find_frame(povm), find_frame(povm)
+            np.testing.assert_array_equal(first.rotation, second.rotation)
+            np.testing.assert_array_equal(first.vertex_values, second.vertex_values)
+            require_rotation(first.rotation)
+
+    def test_eigenframe_convention(self):
+        for seed in range(50):
+            povm = general_position_povm(4 + seed % 27, 4000 + seed)
+            rot = _second_moment_frame(povm)
+            require_rotation(rot)
+            moment = (povm.directions.T * povm.weights) @ povm.directions
+            diag = rot.T @ moment @ rot
+            np.testing.assert_allclose(diag, np.diag(np.diag(diag)), atol=1e-14)
+            assert np.all(np.diff(np.diag(diag)) >= 0)
+            pivots = rot[np.argmax(np.abs(rot), axis=0), range(3)]
+            assert np.all(pivots[:2] > 0)
+
+    def test_uncertified_route_raises(self, monkeypatch):
+        povm = near_projective_povm(6, 3)
+        bad = random_rotations(1, np.random.default_rng(10))[0]
+        assert evaluate_frame(povm, bad, check=False).max_value > 1.0 + FRAME_ATOL
+        monkeypatch.setattr(frames, "_second_moment_frame", lambda _: bad)
+        with pytest.raises(FrameNotFoundError):
+            find_frame(povm)
+
+    def test_serialised_keys(self):
+        cert = find_frame(sic_povm())
+        assert set(cert.to_dict()) == {"rotation", "vertex_values", "max_value", "method"}
+
+
+class TestFrameBoundAcrossPovmSpace:
+    """``find_frame`` certifies every family; 11,000 seeded documents in all."""
+
+    def test_general_position(self):
+        for seed in range(3000):
+            assert_certified(general_position_povm(4 + seed % 27, 10_000 + seed))
+
+    @settings(deadline=None, max_examples=200)
+    @given(n=st.integers(4, 30), seed=st.integers(0, 2**32 - 1))
+    def test_general_position_hypothesis(self, n, seed):
+        assert_certified(general_position_povm(n, seed))
+
+    def test_near_projective(self):
+        for seed in range(3000):
+            assert_certified(near_projective_povm(5 + seed % 26, 20_000 + seed))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n=st.integers(5, 30),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.floats(1e-6, 0.3),
+    )
+    def test_near_projective_hypothesis(self, n, seed, share):
+        assert_certified(near_projective_povm(n, seed, scale=(share, share)))
+
+    def test_octahedral_is_tight(self):
+        # Weighted octahedra: +/- each axis of a random frame with weight
+        # w_k.  All |v . a_i| are 1 in that frame, so the bound holds with
+        # equality on every vertex.
+        rng = np.random.default_rng(30)
+        signs = np.tile([1.0, -1.0], 3)[:, None]
+        for rot in random_rotations(1000, rng):
+            weights = rng.uniform(0.1, 1.0, 3)
+            povm = QubitPovm(np.repeat(weights / weights.sum(), 2), np.repeat(rot.T, 2, axis=0) * signs)
+            assert_certified(povm)
+            eigen = evaluate_frame(povm, _second_moment_frame(povm), check=False)
+            np.testing.assert_allclose(eigen.vertex_values, 1.0, atol=1e-12)
+        axes = QubitPovm(np.full(6, 1.0 / 3.0), np.repeat(np.eye(3), 2, axis=0) * signs)
+        np.testing.assert_allclose(assert_certified(axes).vertex_values, 1.0, atol=1e-15)
+
+    def test_duplicate_directions(self):
+        rng = np.random.default_rng(31)
+        for seed in range(1000):
+            base = (general_position_povm if seed % 2 else near_projective_povm)(
+                5 + seed % 10, 30_000 + seed
+            )
+            copies = rng.integers(1, 4, base.n_outcomes)
+            shares = rng.uniform(0.1, 1.0, copies.sum())
+            owner = np.repeat(np.arange(base.n_outcomes), copies)
+            shares /= np.bincount(owner, shares)[owner]
+            assert_certified(QubitPovm(base.weights[owner] * shares, base.directions[owner]))
+
+    def test_zero_weights(self):
+        rng = np.random.default_rng(32)
+        for seed in range(1000):
+            base = general_position_povm(4 + seed % 12, 40_000 + seed)
+            extra = 1 + seed % 3
+            # Zero-weight outcomes need no unit direction, and one may lift
+            # a coplanar POVM off the coplanar route.
+            junk = rng.standard_normal((extra, 3)) * rng.uniform(0.0, 5.0)
+            weights = np.append(base.weights, np.zeros(extra))
+            assert_certified(QubitPovm(weights, np.vstack([base.directions, junk])))
+        trine = trine_povm()
+        lifted = QubitPovm(np.append(trine.weights, 0.0), np.vstack([trine.directions, [0.3, 0.1, 0.9]]))
+        assert_certified(lifted)
+        sic = sic_povm()
+        outcomes = [{"p": float(p), "a": a.tolist()} for p, a in zip(sic.weights, sic.directions)]
+        doc = {"outcomes": [{"p": 0.0, "a": [0.0, 0.0, 0.0]}] + outcomes}
+        assert_certified(povm_from_dict(doc))
+
+    def test_near_coplanar(self):
+        # A closed planar set plus an antipodal pair tilted out of the plane
+        # by eps.  The smallest singular value grows linearly in eps; eps is
+        # scaled to put it at 1.5 to 5 times COPLANAR_SVAL, so the minimax
+        # route sees a nearly singular M.
+        rng = np.random.default_rng(33)
+        svals = []
+        for _ in range(1000):
+            n_plane = int(rng.integers(3, 12))
+            theta = rng.uniform(0.0, 2.0 * np.pi, n_plane - 1)
+            dirs = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n_plane - 1)])
+            weights = rng.uniform(0.2, 1.0, n_plane - 1)
+            rest = weights @ dirs
+            dirs = np.vstack([dirs, -rest / np.linalg.norm(rest)])
+            weights = np.append(weights, np.linalg.norm(rest))
+            pair = rng.uniform(0.05, 0.5)
+            weights = np.append(weights * (2.0 - 2.0 * pair) / weights.sum(), [pair, pair])
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            rot = random_rotations(1, rng)[0]
+
+            def tilted(eps):
+                tilt = [np.cos(phi) * np.cos(eps), np.sin(phi) * np.cos(eps), np.sin(eps)]
+                return QubitPovm(weights, np.vstack([dirs, tilt, np.negative(tilt)]) @ rot.T)
+
+            def smallest_sval(povm):
+                return np.linalg.svd(povm.directions, compute_uv=False)[-1]
+
+            eps = 1e-6 / smallest_sval(tilted(1e-6)) * rng.uniform(1.5, 5.0) * COPLANAR_SVAL
+            povm = tilted(eps)
+            svals.append(smallest_sval(povm))
+            assert_certified(povm)
+        assert COPLANAR_SVAL < min(svals) and max(svals) < 6 * COPLANAR_SVAL
+
+    def test_residuals_at_validation_tolerance(self):
+        # Closure, weight-sum and unit-norm residuals each at 0.9 of
+        # VALIDATION_ATOL; the module docstring bounds their effect on the
+        # vertex values well below FRAME_ATOL.
+        rng = np.random.default_rng(34)
+        delta = 0.9 * VALIDATION_ATOL
+        for seed in range(1000):
+            base = general_position_povm(4 + seed % 27, 50_000 + seed)
+            dirs = base.directions.copy()
+            r = np.cross(dirs[0], random_unit_vectors(1, rng)[0])
+            dirs[0] += delta * r / np.linalg.norm(r) / base.weights[0]
+            sign_w, sign_n = rng.choice([-1.0, 1.0], 2)
+            weights = base.weights * (1.0 + sign_w * delta / 2.0)
+            povm = QubitPovm(weights, dirs * (1.0 + sign_n * delta))
+            report = validate(povm)
+            assert report.passed
+            residuals = (report.closure_residual, report.weight_sum_residual, report.unit_norm_residual)
+            assert min(residuals) >= 0.8 * VALIDATION_ATOL
+            assert_certified(povm)
 
 
 class TestSicUniversalFrame:
