@@ -82,7 +82,6 @@ from .povm import (
 )
 from .stats import ChiSquaredResult, chi_squared_test, z_scores
 from .werner import (
-    DisagreementError,
     JointDistribution,
     LhsModel,
     bob_conditional_state,
@@ -92,8 +91,6 @@ from .werner import (
     lhs_joint_exact,
     lhs_model,
     lhs_sample,
-    werner_dense,
-    werner_joint_dense,
     werner_joint_quantum,
 )
 

@@ -198,7 +198,10 @@ def cmd_chsh(args) -> int:
         vecs = [_parse_vec(part) for part in args.settings.split(";")]
         if len(vecs) != 4:
             raise ValueError("settings must be four ;-separated x,y,z vectors")
-        a, a_prime, b, b_prime = (v / np.linalg.norm(v) for v in vecs)
+        norms = [np.linalg.norm(v) for v in vecs]
+        if not all(np.isfinite(n) and n > 0.0 for n in norms):
+            raise ValueError("each settings vector must be finite and nonzero")
+        a, a_prime, b, b_prime = (v / n for v, n in zip(vecs, norms))
     else:
         a, a_prime, b, b_prime = chsh_optimal_settings()
     value = chsh_value(a, a_prime, b, b_prime, args.eta)

@@ -17,7 +17,7 @@ re-validates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -51,6 +51,8 @@ class QubitPovm:
 
     weights: np.ndarray
     directions: np.ndarray
+    # Set by require_valid at VALIDATION_ATOL; sound because the arrays are read-only.
+    _validated: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
@@ -80,8 +82,13 @@ class QubitPovm:
         return PauliOperator(p / 2.0, p * self.directions[i] / 2.0)
 
     def flipped(self) -> "QubitPovm":
-        """Same weights with every direction negated (closure is preserved)."""
-        return QubitPovm(self.weights, -self.directions)
+        """Same weights with every direction negated (closure is preserved).
+
+        Every validation residual is bit-identical, so the record carries over.
+        """
+        out = QubitPovm(self.weights, -self.directions)
+        object.__setattr__(out, "_validated", self._validated)
+        return out
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,14 @@ def validate(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> PovmValidation:
 
 
 def require_valid(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> QubitPovm:
+    """Return ``povm`` if it passes :func:`validate`, else raise ``NotAPovmError``.
+
+    A pass at ``VALIDATION_ATOL`` is recorded and not repeated; any other
+    ``atol`` runs the full check.
+    """
+    default_atol = atol == VALIDATION_ATOL
+    if default_atol and povm._validated:
+        return povm
     report = validate(povm, atol)
     if not report.passed:
         raise NotAPovmError(
@@ -142,6 +157,8 @@ def require_valid(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> QubitPovm:
             f"weight_sum_residual={report.weight_sum_residual:.3g}, "
             f"closure_residual={report.closure_residual:.3g}"
         )
+    if default_atol:
+        object.__setattr__(povm, "_validated", True)
     return povm
 
 

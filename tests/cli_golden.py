@@ -1,0 +1,152 @@
+"""Golden seeded CLI output: the command set, its replay, and regeneration.
+
+Every command runs in-process through ``povmsim.cli.main``; its stdout and
+exit code are compared byte for byte with ``tests/golden/cli.json``.  An
+argument ``@name`` stands for a file path: a bundled fixture, or one of the
+``RANDOM_FILES`` written first with ``povmsim random N --seed S --out``.
+
+The bytes depend on the numpy and BLAS build, so the golden file records
+the Python and numpy versions it was generated with.
+
+Regenerate after an intended output change, and list the changed commands
+in CHANGES.md::
+
+    PYTHONPATH=src python tests/cli_golden.py          # rewrite, print changes
+    PYTHONPATH=src python tests/cli_golden.py --check  # print changes only
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from povmsim import fixture_path
+from povmsim.cli import main
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "cli.json"
+
+FIXTURES = ("projective_z.json", "trine.json", "sic.json")
+
+# name -> (n_outcomes, seed); 3 outcomes are collinear and 4 coplanar.
+RANDOM_FILES = {
+    "r3s0": (3, 0),
+    "r4s1": (4, 1),
+    "r5s2": (5, 2),
+    "r6s3": (6, 3),
+    "r8s0": (8, 0),
+    "r10s1": (10, 1),
+    "r12s2": (12, 2),
+    "r16s3": (16, 3),
+}
+
+SIMULATIONS = (
+    ("sic.json", "0,0,1"),
+    ("trine.json", "0.2,-0.3,0.4"),
+    ("projective_z.json", "-0.3,0.1,0.2"),
+    ("r4s1", "0,0,0"),
+    ("r6s3", "0.1,0.2,0.3"),
+    ("r10s1", "0,0,0.9"),
+    ("r16s3", "-0.5,0.5,0.5"),
+)
+
+WERNER_PAIRS = (
+    [(a, b) for a in FIXTURES for b in FIXTURES]
+    + [(name, FIXTURES[k % 3]) for k, name in enumerate(RANDOM_FILES)]
+    + [
+        ("sic.json", "r16s3"),
+        ("trine.json", "r8s0"),
+        ("projective_z.json", "r5s2"),
+        ("r12s2", "r10s1"),
+    ]
+)
+
+
+def commands() -> list[list[str]]:
+    """Every golden command line, with ``@name`` file placeholders."""
+    out = [["random", str(n), "--seed", str(s)] for n, s in RANDOM_FILES.values()]
+    out += [["verify", "-p", f"@{name}"] for name in FIXTURES + tuple(RANDOM_FILES)]
+    out += [
+        ["simulate", "-p", f"@{name}", "--state", state, "-n", "200000", "--seed", str(k)]
+        for k, (name, state) in enumerate(SIMULATIONS, start=1)
+    ]
+    out += [
+        ["werner", "--alice", f"@{a}", "--bob", f"@{b}", "-n", "100000", "--seed", str(k)]
+        for k, (a, b) in enumerate(WERNER_PAIRS, start=1)
+    ]
+    out += [["chsh", "--eta", eta] for eta in ("0.5", "0.7071067811865476", "1.0")]
+    out += [["chsh", "--eta", "0.9", "--settings", "1,0,0;0,1,0;1,1,0;1,-1,0"]]
+    return out
+
+
+def write_random_files(directory: Path) -> dict[str, Path]:
+    """Write the random POVM files; returns every placeholder's path."""
+    paths = {name: fixture_path(name) for name in FIXTURES}
+    for name, (n, seed) in RANDOM_FILES.items():
+        path = directory / f"{name}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(["random", str(n), "--seed", str(seed), "--out", str(path)]) != 0:
+                raise RuntimeError(f"could not write {name}")
+        paths[name] = path
+    return paths
+
+
+def run(argv: list[str], paths: dict[str, Path]) -> tuple[int, str]:
+    """Exit code and stdout of one command, placeholders resolved."""
+    resolved = [str(paths[a[1:]]) if a.startswith("@") else a for a in argv]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+        code = main(resolved)
+    return code, buffer.getvalue()
+
+
+def versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def record(directory: Path) -> dict:
+    paths = write_random_files(directory)
+    entries = []
+    for argv in commands():
+        code, stdout = run(argv, paths)
+        entries.append({"argv": argv, "exit": code, "stdout": stdout})
+    return {**versions(), "commands": entries}
+
+
+def differences(old: dict, new: dict) -> list[str]:
+    """Command lines whose exit code or stdout differ, or that exist on one side only."""
+    before = {" ".join(e["argv"]): e for e in old["commands"]}
+    after = {" ".join(e["argv"]): e for e in new["commands"]}
+    changed = []
+    for line in sorted(before.keys() | after.keys()):
+        a, b = before.get(line), after.get(line)
+        if a is None or b is None:
+            changed.append(f"{line} ({'added' if a is None else 'removed'})")
+        elif (a["exit"], a["stdout"]) != (b["exit"], b["stdout"]):
+            changed.append(line)
+    return changed
+
+
+def main_regenerate(argv: list[str]) -> int:
+    check_only = "--check" in argv
+    with tempfile.TemporaryDirectory() as tmp:
+        new = record(Path(tmp))
+    old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else None
+    changed = differences(old, new) if old else [" ".join(e["argv"]) for e in new["commands"]]
+    for line in changed:
+        print(f"changed: {line}")
+    print(f"{len(changed)} of {len(new['commands'])} commands changed")
+    if not check_only:
+        GOLDEN_PATH.parent.mkdir(exist_ok=True)
+        GOLDEN_PATH.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
+    return 1 if check_only and changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_regenerate(sys.argv[1:]))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,16 @@ class TestChshCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["value"] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("zeroed", ["0,0,0", "nan,0,1", "inf,0,0"])
+    def test_degenerate_settings_exit_2_without_warning(self, zeroed, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["chsh", "--eta", "1.0", "--settings", f"{zeroed};0,0,1;0,0,1;0,0,1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and nonzero" in captured.err
 
     def test_negative_leading_settings(self, capsys):
         code = main(["chsh", "--eta", "1.0", "--settings", "-1,0,0;-1,0,0;-1,0,0;-1,0,0"])

@@ -1,0 +1,33 @@
+"""Seeded CLI output is byte-identical to the checked-in golden set.
+
+A failure names every command whose stdout or exit code changed.  If the
+change is intended, regenerate with ``python tests/cli_golden.py`` and list
+the changed commands in CHANGES.md.
+"""
+
+import json
+
+from cli_golden import GOLDEN_PATH, commands, differences, run, versions, write_random_files
+
+
+def test_golden_set_covers_every_command():
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert [e["argv"] for e in golden["commands"]] == commands()
+
+
+def test_seeded_cli_output_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    paths = write_random_files(tmp_path)
+    replay = {
+        **golden,
+        "commands": [
+            dict(zip(("exit", "stdout"), run(e["argv"], paths)), argv=e["argv"])
+            for e in golden["commands"]
+        ],
+    }
+    changed = differences(golden, replay)
+    recorded = {k: golden[k] for k in ("python", "numpy")}
+    assert not changed, (
+        f"{len(changed)} commands differ (golden made with {recorded}, running {versions()}):\n"
+        + "\n".join(changed)
+    )

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from povmsim import povm as povm_module
 from povmsim.bloch import PauliOperator, to_dense
+from povmsim.cli import EXIT_INPUT, main
+from povmsim.frames import find_frame
 from povmsim.povm import (
+    VALIDATION_ATOL,
     InvalidStateError,
     NotAPovmError,
     QubitPovm,
@@ -18,9 +22,12 @@ from povmsim.povm import (
     random_povm,
     save_povm,
     sic_povm,
+    povm_to_dict,
+    require_valid,
     trine_povm,
     validate,
 )
+from povmsim.werner import lhs_model, werner_joint_quantum
 
 
 def dense_born(op: PauliOperator, state: np.ndarray) -> float:
@@ -42,6 +49,102 @@ class TestValidate:
         assert not report.passed
         assert report.weight_sum_residual == pytest.approx(0.5)
         assert report.closure_residual == pytest.approx(0.5)
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Count the full checks that ``require_valid`` runs."""
+    calls = []
+    real = povm_module.validate
+
+    def counting(povm, atol=VALIDATION_ATOL):
+        calls.append(atol)
+        return real(povm, atol)
+
+    monkeypatch.setattr(povm_module, "validate", counting)
+    return calls
+
+
+def off_closure_pair(tilt: float) -> QubitPovm:
+    """Unit weights and directions, but ``|sum p_i a_i|`` is about ``tilt``."""
+    return QubitPovm(
+        np.array([1.0, 1.0]), np.array([[np.sin(tilt), 0.0, np.cos(tilt)], [0.0, 0.0, -1.0]])
+    )
+
+
+class TestValidateOnce:
+    def test_loaded_povms_are_not_revalidated(self, validate_calls):
+        docs = [povm_to_dict(sic_povm()), povm_to_dict(random_povm(6, 3))]
+        validate_calls.clear()
+        alice, bob = (povm_from_dict(doc) for doc in docs)
+        assert len(validate_calls) == 2
+        find_frame(alice)
+        lhs_model(alice, bob)
+        werner_joint_quantum(alice, bob, 0.5)
+        assert len(validate_calls) == 2
+
+    def test_directly_built_povm_is_validated_once(self, validate_calls):
+        povm = sic_povm()
+        find_frame(povm)
+        find_frame(povm)
+        assert validate_calls == [VALIDATION_ATOL]
+
+    def test_off_closure_povm_still_rejected(self, validate_calls):
+        bad = off_closure_pair(1e-6)
+        assert 0.5e-6 < validate(bad).closure_residual < 2e-6
+        good = sic_povm()
+        with pytest.raises(NotAPovmError):
+            find_frame(bad)
+        with pytest.raises(NotAPovmError):
+            lhs_model(bad, good)
+        with pytest.raises(NotAPovmError):
+            lhs_model(good, bad)
+        with pytest.raises(NotAPovmError):
+            werner_joint_quantum(bad, good, 0.5)
+        with pytest.raises(NotAPovmError):
+            werner_joint_quantum(good, bad, 0.5)
+        # A failed check is not recorded, so every call checks again.
+        assert validate_calls.count(VALIDATION_ATOL) >= 5
+        with pytest.raises(NotAPovmError):
+            require_valid(bad.flipped())
+
+    def test_verify_rejects_off_closure_file(self, tmp_path, capsys):
+        path = tmp_path / "off_closure.json"
+        path.write_text(json.dumps(povm_to_dict(off_closure_pair(1e-6))))
+        assert main(["verify", "-p", str(path)]) == EXIT_INPUT
+        assert "invalid POVM" in capsys.readouterr().err
+
+    def test_flipped_inherits_the_record(self, validate_calls):
+        povm = povm_from_dict(povm_to_dict(random_povm(7, 11)))
+        assert povm._validated
+        calls = len(validate_calls)
+        flipped = povm.flipped()
+        assert require_valid(flipped) is flipped
+        assert len(validate_calls) == calls
+        np.testing.assert_array_equal(flipped.directions, -povm.directions)
+        unchecked = QubitPovm(povm.weights, povm.directions).flipped()
+        require_valid(unchecked)
+        assert len(validate_calls) == calls + 1
+
+    def test_flipping_keeps_residuals_bit_identical(self):
+        for seed in range(200):
+            povm = random_povm(2 + seed % 29, 600 + seed)
+            assert validate(povm) == validate(povm.flipped())
+
+    def test_other_tolerance_runs_the_full_check(self, validate_calls):
+        # Passes at VALIDATION_ATOL, fails at 1e-13.
+        povm = require_valid(off_closure_pair(1e-11))
+        assert validate_calls == [VALIDATION_ATOL]
+        with pytest.raises(NotAPovmError):
+            require_valid(povm, atol=1e-13)
+        assert require_valid(povm, atol=1e-3) is povm
+        assert validate_calls == [VALIDATION_ATOL, 1e-13, 1e-3]
+
+    def test_looser_pass_is_not_recorded(self):
+        povm = require_valid(off_closure_pair(1e-6), atol=1e-3)
+        assert not povm._validated
+        with pytest.raises(NotAPovmError):
+            require_valid(povm)
 
 
 class TestNoisyElement:

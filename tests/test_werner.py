@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from oracles import chsh_correlator_dense, werner_dense, werner_joint_dense
 
 from povmsim.bloch import PauliOperator, to_dense
 from povmsim.povm import projective_povm, random_povm, sic_povm, trine_povm
@@ -12,8 +15,6 @@ from povmsim.werner import (
     lhs_joint_exact,
     lhs_model,
     lhs_sample,
-    werner_dense,
-    werner_joint_dense,
     werner_joint_quantum,
 )
 
@@ -58,6 +59,26 @@ class TestQuantumJoint:
             eta = rng.random()
             joint = werner_joint_quantum(a, b, eta).table
             np.testing.assert_allclose(joint, werner_joint_dense(a, b, eta), atol=1e-12)
+
+    def test_closed_form_agrees_with_dense_on_criterion_07_pairs(self):
+        # The pairs of acceptance criterion 07, at the model's visibility.
+        worst = 0.0
+        for k in range(500):
+            a = random_povm(2 + k % 7, 70_000 + k)
+            b = random_povm(2 + (k + 3) % 7, 80_000 + k)
+            gap = werner_joint_quantum(a, b, 0.5).table - werner_joint_dense(a, b, 0.5)
+            worst = max(worst, float(np.max(np.abs(gap))))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_closed_form_agrees_with_dense_at_extreme_visibility(self, eta):
+        povms = [projective_povm([0, 0, 1]), trine_povm(), sic_povm()] + [
+            random_povm(2 + seed % 7, 90_000 + seed) for seed in range(12)
+        ]
+        for a in povms:
+            for b in povms:
+                joint = werner_joint_quantum(a, b, eta).table
+                np.testing.assert_allclose(joint, werner_joint_dense(a, b, eta), atol=1e-12)
 
     def test_no_signaling_marginals(self):
         a, b = sic_povm(), trine_povm()
@@ -189,3 +210,36 @@ class TestChsh:
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
         assert chsh_correlator(u, v, 0.8) == pytest.approx(-0.8 * u @ v, abs=1e-14)
+
+    def test_correlator_matches_dense_table(self):
+        rng = np.random.default_rng(12)
+        a, a_prime, b, b_prime = chsh_optimal_settings()
+        pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
+        while len(pairs) < 200:
+            u, v = rng.standard_normal((2, 3))
+            pairs.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
+        etas = np.concatenate([[0.0, 0.5, 1.0 / np.sqrt(2.0), 1.0], rng.random(196)])
+        for (u, v), eta in zip(pairs, etas):
+            assert abs(chsh_correlator(u, v, eta) - chsh_correlator_dense(u, v, eta)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "setting",
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 1e-9], [0.0, 0.0, 0.5], [np.nan, 0.0, 1.0],
+         [np.inf, 0.0, 0.0], [0.0, 1.0]],
+    )
+    def test_correlator_rejects_non_unit_settings(self, setting):
+        z = [0.0, 0.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                chsh_correlator(setting, z, 0.5)
+            with pytest.raises(ValueError):
+                chsh_correlator(z, setting, 0.5)
+
+    def test_correlator_accepts_settings_within_tolerance(self):
+        u = np.array([0.0, 0.0, 1.0 + 5e-11])
+        assert chsh_correlator(u, [0.0, 0.0, 1.0], 1.0) == -(1.0 + 5e-11)
+
+    def test_correlator_rejects_visibility_out_of_range(self):
+        with pytest.raises(ValueError):
+            chsh_correlator([0, 0, 1], [0, 0, 1], 1.5)
