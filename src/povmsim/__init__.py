@@ -19,7 +19,6 @@ from .bloch import (
     random_rotation,
     random_rotations,
     random_unit_vectors,
-    rotate,
     rotation_from_euler_zyz,
     to_dense,
 )
@@ -27,19 +26,16 @@ from .frames import (
     FRAME_ATOL,
     OCTANT_LABELS,
     OCTANT_SIGNS,
-    CubeIdentityReport,
     CubeVertices,
     FrameCertificate,
     FrameMethod,
     FrameNotFoundError,
     SicBoundReport,
     check_sic_universal_frame,
-    cube_vertex_identities,
     evaluate_frame,
     find_frame,
     positive_part,
     projection_mass,
-    projection_mass_abs,
     total_vertex_mass,
 )
 from .jointmeas import (
@@ -52,10 +48,6 @@ from .jointmeas import (
     noise_weights,
     octant_index,
     octant_operators,
-    octant_operators_quadrature,
-    sample_lambda,
-    sample_lambda_batch,
-    simulate_outcome,
     simulate_statistics,
     verify_decomposition,
 )
@@ -88,9 +80,7 @@ from .werner import (
     chsh_correlator,
     chsh_optimal_settings,
     chsh_value,
-    lhs_joint_exact,
     lhs_model,
-    lhs_sample,
     werner_joint_quantum,
 )
 

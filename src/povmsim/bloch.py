@@ -60,13 +60,6 @@ def require_rotation(mat, atol: float = EPS_ORTHO) -> np.ndarray:
     return mat
 
 
-def rotate(rotation, v):
-    """Apply a rotation to one vector or to a batch of row vectors."""
-    rotation = np.asarray(rotation, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return v @ rotation.T
-
-
 def rotation_from_euler_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Rotation Rz(alpha) @ Ry(beta) @ Rz(gamma)."""
     return euler_zyz_matrices(np.array([[alpha, beta, gamma]]))[0]

@@ -106,79 +106,9 @@ def projection_mass(povm: QubitPovm, x) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
-def projection_mass_abs(povm: QubitPovm, x) -> float | np.ndarray:
-    """Equivalent absolute-value form ``(1/2) sum_i p_i |x . a_i|``.
-
-    Kept as an independent evaluation path for cross-checks.
-    """
-    x = np.asarray(x, dtype=float)
-    values = 0.5 * np.abs(x @ povm.directions.T) @ povm.weights
-    return float(values) if values.ndim == 0 else values
-
-
 def total_vertex_mass(povm: QubitPovm, cube: CubeVertices) -> float:
     """Sum of the eight vertex values; bounded by 8 for every valid POVM."""
     return float(np.sum(projection_mass(povm, cube.vertices)))
-
-
-@dataclass(frozen=True)
-class CubeIdentityReport:
-    """Residuals of the four cube-vertex projection identities.
-
-    For any vector ``a`` and any rotated cube the following hold:
-
-    1. ``sum_s |v_s . a| <= 8 |a|``
-    2. ``sum_s max(v_s . a, 0) <= 4 |a|``
-    3. ``sum_s (v_s . a) v_s = 8 a``
-    4. ``sum_s max(v_s . a, 0) v_s = 4 a``
-    """
-
-    abs_sum: float
-    abs_sum_bound: float
-    positive_sum: float
-    positive_sum_bound: float
-    linear_residual: float
-    positive_part_residual: float
-    atol: float = 1e-10
-
-    @property
-    def abs_sum_ok(self) -> bool:
-        return self.abs_sum <= self.abs_sum_bound + self.atol
-
-    @property
-    def positive_sum_ok(self) -> bool:
-        return self.positive_sum <= self.positive_sum_bound + self.atol
-
-    @property
-    def linear_ok(self) -> bool:
-        return self.linear_residual <= self.atol
-
-    @property
-    def positive_part_ok(self) -> bool:
-        return self.positive_part_residual <= self.atol
-
-    @property
-    def all_ok(self) -> bool:
-        return self.abs_sum_ok and self.positive_sum_ok and self.linear_ok and self.positive_part_ok
-
-
-def cube_vertex_identities(a, cube: CubeVertices, atol: float = 1e-10) -> CubeIdentityReport:
-    """Evaluate the four vertex-sum identities for one vector ``a``."""
-    a = np.asarray(a, dtype=float)
-    dots = cube.vertices @ a
-    pos = positive_part(dots)
-    norm_a = float(np.linalg.norm(a))
-    linear = dots @ cube.vertices
-    positive = pos @ cube.vertices
-    return CubeIdentityReport(
-        abs_sum=float(np.sum(np.abs(dots))),
-        abs_sum_bound=8.0 * norm_a,
-        positive_sum=float(np.sum(pos)),
-        positive_sum_bound=4.0 * norm_a,
-        linear_residual=float(np.max(np.abs(linear - 8.0 * a))),
-        positive_part_residual=float(np.max(np.abs(positive - 4.0 * a))),
-        atol=atol,
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,13 @@ reconstruct every half-visibility outcome operator exactly:
     sum_s p(i|s) G_s = p_i (I + a_i . sigma / 2) / 2.
 
 This module builds those tables, verifies the reconstruction, and simulates
-the whole protocol by Monte Carlo.
+the whole protocol by Monte Carlo.  One engine serves both samplers, this
+module's :func:`simulate_statistics` and the Werner hidden-state model's
+``LhsModel.sample_counts``: Haar directions are drawn directly in frame
+coordinates (the inputs are rotated into the frame once), the octant comes
+from sign bits, and the table's outcomes are drawn with one multinomial per
+octant row, or per (octant, Bob outcome) cell.  The chunk layout is fixed by
+the seed, so counts do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -68,43 +74,6 @@ def octant_operators(frame: FrameCertificate) -> list[OctantOperator]:
     ]
 
 
-def octant_operators_quadrature(
-    frame: FrameCertificate, n_theta: int = 400, n_phi: int = 400
-) -> list[PauliOperator]:
-    """Numerically integrated octant operators (midpoint rule, oracle path).
-
-    Integrates ``(1/4pi)(I + lambda . sigma)`` over each octant of the
-    certified frame on an ``n_theta x n_phi`` grid in spherical coordinates
-    of the rotated frame; the Bloch part is mapped back with the frame
-    rotation.  Used to cross-check the closed forms.
-    """
-    rotation = frame.rotation
-    results = []
-    for sx, sy, sz in OCTANT_SIGNS:
-        theta_lo, theta_hi = (0.0, np.pi / 2.0) if sz > 0 else (np.pi / 2.0, np.pi)
-        if sx > 0 and sy > 0:
-            phi_lo = 0.0
-        elif sx < 0 and sy > 0:
-            phi_lo = np.pi / 2.0
-        elif sx < 0 and sy < 0:
-            phi_lo = np.pi
-        else:
-            phi_lo = 3.0 * np.pi / 2.0
-        phi_hi = phi_lo + np.pi / 2.0
-        dt = (theta_hi - theta_lo) / n_theta
-        dp = (phi_hi - phi_lo) / n_phi
-        theta = theta_lo + dt * (np.arange(n_theta) + 0.5)
-        phi = phi_lo + dp * (np.arange(n_phi) + 0.5)
-        sin_t, cos_t = np.sin(theta), np.cos(theta)
-        area = dt * dp / (4.0 * np.pi)
-        t_part = area * sin_t.sum() * n_phi
-        wx = area * (sin_t * sin_t).sum() * np.cos(phi).sum()
-        wy = area * (sin_t * sin_t).sum() * np.sin(phi).sum()
-        wz = area * (cos_t * sin_t).sum() * n_phi
-        results.append(PauliOperator(t_part, rotation @ np.array([wx, wy, wz])))
-    return results
-
-
 def noise_weights(povm: QubitPovm, frame: FrameCertificate) -> np.ndarray:
     """Per-outcome noise weights; nonnegative for every POVM and frame."""
     theta_sum = positive_part(frame.cube.vertices @ povm.directions.T).sum(axis=0)
@@ -124,11 +93,6 @@ class ConditionalProbabilityTable:
     @property
     def n_outcomes(self) -> int:
         return self.povm.n_outcomes
-
-    def cdf(self) -> np.ndarray:
-        cdf = np.cumsum(self.table, axis=1)
-        cdf[:, -1] = 1.0
-        return cdf
 
 
 def build_table(povm: QubitPovm, frame: FrameCertificate) -> ConditionalProbabilityTable:
@@ -214,16 +178,14 @@ def verify_decomposition(cpt: ConditionalProbabilityTable) -> DecompositionRepor
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo simulation of the protocol.
+# Monte Carlo: one engine behind simulate_statistics and LhsModel.sample_counts.
+
+_OCTANT_BITS = np.array([4, 2, 1])
 
 
-def sample_lambda(rng: np.random.Generator) -> np.ndarray:
-    """One Haar-uniform direction on the unit sphere."""
-    return random_unit_vectors(1, rng)[0]
-
-
-def sample_lambda_batch(n: int, rng: np.random.Generator) -> np.ndarray:
-    return random_unit_vectors(n, rng)
+def _octants(coords: np.ndarray) -> np.ndarray:
+    """Octant index of frame coordinates from their sign bits; zero counts as +."""
+    return (coords < 0) @ _OCTANT_BITS
 
 
 def octant_index(rotation: np.ndarray, lam) -> int | np.ndarray:
@@ -231,21 +193,8 @@ def octant_index(rotation: np.ndarray, lam) -> int | np.ndarray:
 
     Accepts a single vector or a batch of row vectors.
     """
-    coords = np.asarray(lam, dtype=float) @ rotation
-    negative = coords < 0
-    index = negative @ np.array([4, 2, 1])
+    index = _octants(np.asarray(lam, dtype=float) @ rotation)
     return int(index) if index.ndim == 0 else index
-
-
-def simulate_outcome(
-    cpt: ConditionalProbabilityTable, lam, rng: np.random.Generator
-) -> int:
-    """Post-process one parent outcome ``lambda`` into a POVM outcome."""
-    lam = np.asarray(lam, dtype=float)
-    if abs(np.linalg.norm(lam) - 1.0) > 1e-9:
-        raise ValueError("lambda must be a unit vector")
-    row_cdf = cpt.cdf()[octant_index(cpt.frame.rotation, lam)]
-    return int(np.searchsorted(row_cdf, rng.random(), side="right"))
 
 
 def _chunk_counts(total: int, seed: int, chunk_size: int = _MC_CHUNK):
@@ -273,6 +222,33 @@ def _run_chunks(sampler, sizes, seeds, workers: int, shape) -> np.ndarray:
         for job in jobs:
             counts += sampler(*job)
     return counts
+
+
+def _sample_table(
+    table: np.ndarray, n_cols: int, classify, n_samples: int, rng_seed: int, workers: int
+) -> np.ndarray:
+    """Counts of (table outcome, column) over ``n_samples`` rounds.
+
+    Each chunk draws its Haar directions directly in frame coordinates: the
+    measure is rotation invariant, so callers rotate their inputs into the
+    frame instead of rotating every sample.  ``classify(u, rng)`` maps the
+    directions to an octant row of ``table`` and a column below ``n_cols``.
+    The outcome depends on a direction only through its octant and uses its
+    own randomness, so the outcomes of each (octant, column) cell are one
+    exact multinomial draw from that octant's row.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    rows = table[:, None, :]
+
+    def sampler(m: int, rng: np.random.Generator) -> np.ndarray:
+        u = random_unit_vectors(m, rng)
+        octants, cols = classify(u, rng)
+        cells = np.bincount(octants * n_cols + cols, minlength=8 * n_cols)
+        return rng.multinomial(cells.reshape(8, n_cols), rows).sum(axis=0).T
+
+    sizes, seeds = _chunk_counts(n_samples, rng_seed)
+    return _run_chunks(sampler, sizes, seeds, workers, (table.shape[1], n_cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,28 +286,24 @@ def simulate_statistics(
 
     Each round measures the parent observable on the state (a Haar direction
     ``u`` accepted as ``+u`` or ``-u`` with the projective Born weights) and
-    post-processes the result through the conditional table.  Targets are
-    the Born probabilities of the half-visibility POVM.
+    post-processes the result through the conditional table.  In frame
+    coordinates, accepting ``-u`` maps octant ``o`` to ``7 - o``.  Targets are
+    the Born probabilities of the half-visibility POVM.  ``workers`` below 1
+    raises ``ValueError``.
     """
     state = np.asarray(state_bloch, dtype=float)
     targets = born_probabilities(povm, state, eta=0.5)
     if frame is None:
         frame = find_frame(povm)
     cpt = build_table(povm, frame)
-    rotation = frame.rotation
-    cdf = cpt.cdf()
-    n_out = cpt.n_outcomes
+    frame_state = state @ frame.rotation
 
-    def sampler(m: int, rng: np.random.Generator) -> np.ndarray:
-        u = sample_lambda_batch(m, rng)
-        keep_plus = rng.random(m) < 0.5 * (1.0 + u @ state)
-        lam = np.where(keep_plus[:, None], u, -u)
-        octants = octant_index(rotation, lam)
-        outcomes = (cdf[octants] <= rng.random(m)[:, None]).sum(axis=1)
-        return np.bincount(outcomes, minlength=n_out)
+    def classify(u: np.ndarray, rng: np.random.Generator):
+        octants = _octants(u)
+        flip = rng.random(len(u)) >= 0.5 * (1.0 + u @ frame_state)
+        return np.where(flip, 7 - octants, octants), 0
 
-    sizes, seeds = _chunk_counts(n_samples, rng_seed)
-    counts = _run_chunks(sampler, sizes, seeds, workers, (n_out,))
+    counts = _sample_table(cpt.table, 1, classify, n_samples, rng_seed, workers).ravel()
     return SimulationReport(
         n_samples=n_samples,
         counts=counts,
@@ -339,5 +311,5 @@ def simulate_statistics(
         z=z_scores(counts, targets, n_samples),
         seed=rng_seed,
         chunk_size=_MC_CHUNK,
-        n_chunks=len(sizes),
+        n_chunks=len(_chunk_counts(n_samples, rng_seed)[0]),
     )

@@ -227,6 +227,12 @@ def random_povm(n_outcomes: int, rng_seed: int, max_retries: int = 1000) -> Qubi
     identity by appending the deficit operator, whose rank-1 split supplies
     the final two outcomes.  The sampled weights are rescaled so the deficit
     stays strictly PSD.  Deterministic for a given seed.
+
+    The deficit's axis lies in the span of the drawn directions, so every
+    3-outcome POVM is collinear and every 4-outcome POVM coplanar; only from
+    5 outcomes on are the directions in general position.  The
+    general-position, near-projective, octahedral, duplicate-direction and
+    zero-weight families live in ``tests/test_frames.py``.
     """
     if n_outcomes < 2:
         raise ValueError("a POVM needs at least 2 outcomes")

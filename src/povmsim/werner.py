@@ -19,6 +19,11 @@ local hidden state model:
 Averaged over ``lambda`` this reproduces the quantum table exactly, and the
 state Bob holds conditioned on Alice's outcome equals the true
 post-measurement state ``p_i (I - a_i . sigma / 2) / 4``.
+
+``LhsModel.sample_counts`` runs the protocol on the Monte Carlo engine of
+``povmsim.jointmeas``, shared with ``simulate_statistics``: ``lambda`` is
+drawn in frame coordinates, Alice needs only its octant, and her outcomes
+are drawn with one multinomial per (octant, Bob outcome) cell.
 """
 
 from __future__ import annotations
@@ -29,16 +34,7 @@ import numpy as np
 
 from .bloch import PauliOperator
 from .frames import FrameCertificate, find_frame
-from .jointmeas import (
-    ConditionalProbabilityTable,
-    _chunk_counts,
-    _run_chunks,
-    build_table,
-    octant_index,
-    sample_lambda,
-    sample_lambda_batch,
-    simulate_outcome,
-)
+from .jointmeas import ConditionalProbabilityTable, _octants, _sample_table, build_table
 from .povm import VALIDATION_ATOL, QubitPovm, require_valid, require_visibility
 
 
@@ -107,35 +103,28 @@ class LhsModel:
         )
         return JointDistribution(self.table.table.T @ bob_octant)
 
-    def sample_round(self, rng: np.random.Generator) -> tuple[int, int]:
-        """One protocol round: returns (Alice outcome, Bob outcome)."""
-        lam = sample_lambda(rng)
-        i = simulate_outcome(self.table, lam, rng)
-        bob_probs = self.bob.weights * (1.0 + self.bob.directions @ lam) / 2.0
-        cdf = np.cumsum(bob_probs)
-        cdf[-1] = 1.0
-        j = int(np.searchsorted(cdf, rng.random(), side="right"))
-        return i, j
-
     def sample_counts(self, n_samples: int, rng_seed: int, workers: int = 1) -> np.ndarray:
-        """Joint outcome counts over ``n_samples`` rounds, vectorised."""
-        rotation = self.frame.rotation
-        alice_cdf = self.table.cdf()
-        n_a, n_b = self.alice.n_outcomes, self.bob.n_outcomes
-        bw, bd = self.bob.weights, self.bob.directions
+        """Joint outcome counts over ``n_samples`` rounds, shape ``(n_a, n_b)``.
 
-        def sampler(m: int, rng: np.random.Generator) -> np.ndarray:
-            lam = sample_lambda_batch(m, rng)
-            octants = octant_index(rotation, lam)
-            i = (alice_cdf[octants] <= rng.random(m)[:, None]).sum(axis=1)
-            bob_probs = bw[None, :] * (1.0 + lam @ bd.T) / 2.0
-            bob_cdf = np.cumsum(bob_probs, axis=1)
-            bob_cdf[:, -1] = 1.0
-            j = (bob_cdf <= rng.random(m)[:, None]).sum(axis=1)
-            return np.bincount(i * n_b + j, minlength=n_a * n_b).reshape(n_a, n_b)
+        Each round's ``lambda`` is drawn in frame coordinates, Bob answers by
+        his Born weights on it, and Alice's outcomes are drawn per (octant,
+        Bob outcome) cell.  Bob's CDF ``C_k = sum_{j<=k} q_j (1 + b_j .
+        lambda) / 2`` is linear in ``lambda``, so its coefficients are rotated
+        into the frame once; the last entry is 1 and is left out.
+        ``workers`` below 1 raises ``ValueError``.
+        """
+        half = self.bob.weights / 2.0
+        bob_dirs = self.bob.directions @ self.frame.rotation
+        cdf_const = np.cumsum(half)[:-1]
+        cdf_lin = np.cumsum(half[:, None] * bob_dirs, axis=0)[:-1]
 
-        sizes, seeds = _chunk_counts(n_samples, rng_seed)
-        return _run_chunks(sampler, sizes, seeds, workers, (n_a, n_b))
+        def classify(lam: np.ndarray, rng: np.random.Generator):
+            below = lam @ cdf_lin.T + cdf_const <= rng.random(len(lam))[:, None]
+            return _octants(lam), below.sum(axis=1)
+
+        return _sample_table(
+            self.table.table, self.bob.n_outcomes, classify, n_samples, rng_seed, workers
+        )
 
 
 def lhs_model(alice: QubitPovm, bob: QubitPovm) -> LhsModel:
@@ -149,15 +138,6 @@ def lhs_model(alice: QubitPovm, bob: QubitPovm) -> LhsModel:
     )
 
 
-def lhs_joint_exact(alice: QubitPovm, bob: QubitPovm) -> JointDistribution:
-    """Exact joint distribution of the hidden-state model.
-
-    Matches ``werner_joint_quantum(alice, bob, 1/2)`` entrywise; the two
-    are computed along independent routes and compared in tests.
-    """
-    return lhs_model(alice, bob).joint_exact()
-
-
 def bob_conditional_state(cpt: ConditionalProbabilityTable, i: int) -> PauliOperator:
     """Bob's unnormalised state given Alice's outcome ``i``.
 
@@ -169,15 +149,6 @@ def bob_conditional_state(cpt: ConditionalProbabilityTable, i: int) -> PauliOper
     column = cpt.table[:, i]
     vertices = cpt.frame.cube.vertices
     return PauliOperator(column.sum() / 16.0, (column @ vertices) / 32.0)
-
-
-def lhs_sample(alice: QubitPovm, bob: QubitPovm, rng: np.random.Generator) -> tuple[int, int]:
-    """One round of the protocol; builds the model first.
-
-    Prefer :func:`lhs_model` plus :meth:`LhsModel.sample_round` when many
-    rounds are needed, so the frame search runs once.
-    """
-    return lhs_model(alice, bob).sample_round(rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,23 @@
-"""Dense 4x4 oracles for the Werner closed forms in ``povmsim.werner``.
+"""Reference computations that the production closed forms are checked against.
 
-Production computes ``p(i, j) = (p_i q_j / 4)(1 - eta a_i . b_j)`` and
-``E(u, v) = -eta u . v`` directly; these build the state and the tensor
-traces explicitly so tests can check the closed forms against them.
+Production computes every quantity in closed form; these evaluate the same
+quantities along independent routes, so tests can compare the two:
+
+* dense 4x4 Werner oracles for ``povmsim.werner``: the state and the tensor
+  traces for ``p(i, j) = (p_i q_j / 4)(1 - eta a_i . b_j)`` and
+  ``E(u, v) = -eta u . v``;
+* spherical quadrature of the octant operators ``I/8 + v_s . sigma / 16``;
+* the absolute-value form of the projection mass and the four cube-vertex
+  identities behind the frame bounds;
+* ``rotate``, a rotation applied to one vector or a batch of row vectors.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from povmsim.bloch import to_dense
+from povmsim.bloch import PauliOperator, to_dense
+from povmsim.frames import OCTANT_SIGNS, CubeVertices, FrameCertificate, positive_part
 from povmsim.povm import QubitPovm, projective_povm, require_visibility
 
 # |psi-> = (|01> - |10>) / sqrt(2), basis order |00>, |01>, |10>, |11>.
@@ -38,3 +48,114 @@ def chsh_correlator_dense(u, v, eta: float) -> float:
     joint = werner_joint_dense(projective_povm(u), projective_povm(v), eta)
     signs = np.array([1.0, -1.0])
     return float(signs @ joint @ signs)
+
+
+def rotate(rotation, v):
+    """Apply a rotation to one vector or to a batch of row vectors."""
+    rotation = np.asarray(rotation, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return v @ rotation.T
+
+
+def octant_operators_quadrature(
+    frame: FrameCertificate, n_theta: int = 400, n_phi: int = 400
+) -> list[PauliOperator]:
+    """Numerically integrated octant operators (midpoint rule).
+
+    Integrates ``(1/4pi)(I + lambda . sigma)`` over each octant of the
+    certified frame on an ``n_theta x n_phi`` grid in spherical coordinates
+    of the rotated frame; the Bloch part is mapped back with the frame
+    rotation.
+    """
+    rotation = frame.rotation
+    results = []
+    for sx, sy, sz in OCTANT_SIGNS:
+        theta_lo, theta_hi = (0.0, np.pi / 2.0) if sz > 0 else (np.pi / 2.0, np.pi)
+        if sx > 0 and sy > 0:
+            phi_lo = 0.0
+        elif sx < 0 and sy > 0:
+            phi_lo = np.pi / 2.0
+        elif sx < 0 and sy < 0:
+            phi_lo = np.pi
+        else:
+            phi_lo = 3.0 * np.pi / 2.0
+        phi_hi = phi_lo + np.pi / 2.0
+        dt = (theta_hi - theta_lo) / n_theta
+        dp = (phi_hi - phi_lo) / n_phi
+        theta = theta_lo + dt * (np.arange(n_theta) + 0.5)
+        phi = phi_lo + dp * (np.arange(n_phi) + 0.5)
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        area = dt * dp / (4.0 * np.pi)
+        t_part = area * sin_t.sum() * n_phi
+        wx = area * (sin_t * sin_t).sum() * np.cos(phi).sum()
+        wy = area * (sin_t * sin_t).sum() * np.sin(phi).sum()
+        wz = area * (cos_t * sin_t).sum() * n_phi
+        results.append(PauliOperator(t_part, rotation @ np.array([wx, wy, wz])))
+    return results
+
+
+def projection_mass_abs(povm: QubitPovm, x) -> float | np.ndarray:
+    """Absolute-value form ``(1/2) sum_i p_i |x . a_i|`` of the projection mass."""
+    x = np.asarray(x, dtype=float)
+    values = 0.5 * np.abs(x @ povm.directions.T) @ povm.weights
+    return float(values) if values.ndim == 0 else values
+
+
+@dataclass(frozen=True)
+class CubeIdentityReport:
+    """Residuals of the four cube-vertex projection identities.
+
+    For any vector ``a`` and any rotated cube the following hold:
+
+    1. ``sum_s |v_s . a| <= 8 |a|``
+    2. ``sum_s max(v_s . a, 0) <= 4 |a|``
+    3. ``sum_s (v_s . a) v_s = 8 a``
+    4. ``sum_s max(v_s . a, 0) v_s = 4 a``
+    """
+
+    abs_sum: float
+    abs_sum_bound: float
+    positive_sum: float
+    positive_sum_bound: float
+    linear_residual: float
+    positive_part_residual: float
+    atol: float = 1e-10
+
+    @property
+    def abs_sum_ok(self) -> bool:
+        return self.abs_sum <= self.abs_sum_bound + self.atol
+
+    @property
+    def positive_sum_ok(self) -> bool:
+        return self.positive_sum <= self.positive_sum_bound + self.atol
+
+    @property
+    def linear_ok(self) -> bool:
+        return self.linear_residual <= self.atol
+
+    @property
+    def positive_part_ok(self) -> bool:
+        return self.positive_part_residual <= self.atol
+
+    @property
+    def all_ok(self) -> bool:
+        return self.abs_sum_ok and self.positive_sum_ok and self.linear_ok and self.positive_part_ok
+
+
+def cube_vertex_identities(a, cube: CubeVertices, atol: float = 1e-10) -> CubeIdentityReport:
+    """Evaluate the four vertex-sum identities for one vector ``a``."""
+    a = np.asarray(a, dtype=float)
+    dots = cube.vertices @ a
+    pos = positive_part(dots)
+    norm_a = float(np.linalg.norm(a))
+    linear = dots @ cube.vertices
+    positive = pos @ cube.vertices
+    return CubeIdentityReport(
+        abs_sum=float(np.sum(np.abs(dots))),
+        abs_sum_bound=8.0 * norm_a,
+        positive_sum=float(np.sum(pos)),
+        positive_sum_bound=4.0 * norm_a,
+        linear_residual=float(np.max(np.abs(linear - 8.0 * a))),
+        positive_part_residual=float(np.max(np.abs(positive - 4.0 * a))),
+        atol=atol,
+    )

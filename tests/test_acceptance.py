@@ -9,6 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import octant_operators_quadrature, projection_mass_abs
 
 from povmsim.bloch import PauliOperator, random_rotations
 from povmsim.frames import (
@@ -20,12 +21,10 @@ from povmsim.frames import (
     find_frame,
     positive_part,
     projection_mass,
-    projection_mass_abs,
 )
 from povmsim.jointmeas import (
     build_table,
     octant_operators,
-    octant_operators_quadrature,
     simulate_statistics,
     verify_decomposition,
 )
@@ -253,6 +252,12 @@ LHS_SCENARIOS = [
 
 
 def test_criterion_08_monte_carlo_consistency():
+    """20 chi-squared checks (12 simulations, 8 hidden-state tables) at p >= 1e-3.
+
+    The test is calibrated (``tests/test_stats.py``), so a correct sampler on
+    a new RNG stream fails at least one check with probability
+    1 - 0.999**20, about 2.0%.
+    """
     with criterion("8 Monte Carlo chi-squared at 99.9%"):
         n = 1_000_000
         for factory, state, seed in SIMULATION_SCENARIOS:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import rotate
 
 from povmsim.bloch import (
     NotPositiveError,
@@ -13,7 +14,6 @@ from povmsim.bloch import (
     orthonormal_frame,
     random_rotations,
     random_unit_vectors,
-    rotate,
     rotation_from_euler_zyz,
     to_dense,
 )

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -132,6 +133,35 @@ class TestWernerCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["chi_squared"]["pvalue"] >= 1e-3
+
+
+class TestWorkers:
+    SIMULATE = ["simulate", "-p", str(fixture_path("sic.json")), "--state", "0.1,-0.2,0.6",
+                "-n", "300000", "--seed", "4"]
+    WERNER = ["werner", "--alice", str(fixture_path("trine.json")),
+              "--bob", str(fixture_path("sic.json")), "-n", "300000", "--seed", "5"]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["simulate", "werner"])
+    def test_fewer_than_one_worker_exits_2(self, command, workers, capsys):
+        argv = self.SIMULATE if command == "simulate" else self.WERNER
+        code = main([*argv, "--workers", workers])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "workers must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("command", ["simulate", "werner"])
+    def test_two_workers_change_only_the_header(self, command, capsys):
+        # 300,000 samples are three chunks, so two workers share them.
+        argv = self.SIMULATE if command == "simulate" else self.WERNER
+        outputs = []
+        for workers in ("1", "2"):
+            assert main([*argv, "--workers", workers]) == 0
+            out = capsys.readouterr().out
+            assert f'"workers": {workers}' in out
+            outputs.append(re.sub(r'"workers": \d+', '"workers": W', out))
+        assert outputs[0] == outputs[1]
 
 
 class TestChshCommand:

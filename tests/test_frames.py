@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cube_vertex_identities, projection_mass_abs
 
 from povmsim import frames
 from povmsim.bloch import random_rotations, random_unit_vectors, require_rotation
@@ -14,12 +15,10 @@ from povmsim.frames import (
     FrameNotFoundError,
     _second_moment_frame,
     check_sic_universal_frame,
-    cube_vertex_identities,
     evaluate_frame,
     find_frame,
     positive_part,
     projection_mass,
-    projection_mass_abs,
     total_vertex_mass,
 )
 from povmsim.povm import (

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from oracles import chsh_correlator_dense, werner_dense, werner_joint_dense
 
-from povmsim.bloch import PauliOperator, to_dense
+from povmsim.bloch import PauliOperator, random_rotations, to_dense
+from povmsim.frames import evaluate_frame
+from povmsim.jointmeas import build_table
 from povmsim.povm import projective_povm, random_povm, sic_povm, trine_povm
 from povmsim.stats import chi_squared_test
 from povmsim.werner import (
+    LhsModel,
     bob_conditional_state,
     chsh_correlator,
     chsh_optimal_settings,
     chsh_value,
-    lhs_joint_exact,
     lhs_model,
-    lhs_sample,
     werner_joint_quantum,
 )
 
@@ -91,12 +92,12 @@ class TestQuantumJoint:
 class TestHiddenStateModel:
     def test_projective_pair_matches_quantum(self):
         povm = projective_povm([0, 0, 1])
-        lhs = lhs_joint_exact(povm, povm).table
+        lhs = lhs_model(povm, povm).joint_exact().table
         quantum = werner_joint_quantum(povm, povm, 0.5).table
         np.testing.assert_allclose(lhs, quantum, atol=1e-12)
 
     def test_sic_against_projective_x(self):
-        lhs = lhs_joint_exact(sic_povm(), projective_povm([1, 0, 0])).table
+        lhs = lhs_model(sic_povm(), projective_povm([1, 0, 0])).joint_exact().table
         quantum = werner_joint_quantum(sic_povm(), projective_povm([1, 0, 0]), 0.5).table
         assert np.max(np.abs(lhs - quantum)) <= 1e-10
 
@@ -105,7 +106,7 @@ class TestHiddenStateModel:
         for seed in range(50):
             a = random_povm(2 + seed % 7, 3000 + seed)
             b = random_povm(2 + (seed + 2) % 7, 4000 + seed)
-            lhs = lhs_joint_exact(a, b).table
+            lhs = lhs_model(a, b).joint_exact().table
             quantum = werner_joint_quantum(a, b, 0.5).table
             worst = max(worst, float(np.max(np.abs(lhs - quantum))))
         assert worst <= 1e-10
@@ -151,17 +152,38 @@ class TestHiddenStateModel:
 
 
 class TestSampling:
-    def test_single_round_reproducible(self):
-        a, b = trine_povm(), projective_povm([0, 1, 0])
-        round1 = lhs_sample(a, b, np.random.default_rng(11))
-        round2 = lhs_sample(a, b, np.random.default_rng(11))
-        assert round1 == round2
-
     def test_counts_deterministic_and_worker_invariant(self):
         model = lhs_model(sic_povm(), trine_povm())
         c1 = model.sample_counts(200_000, rng_seed=5)
         c2 = model.sample_counts(200_000, rng_seed=5, workers=3)
         np.testing.assert_array_equal(c1, c2)
+
+    def test_zero_samples(self):
+        model = lhs_model(sic_povm(), trine_povm())
+        counts = model.sample_counts(0, rng_seed=5)
+        assert counts.shape == (4, 3)
+        np.testing.assert_array_equal(counts, 0)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        model = lhs_model(sic_povm(), trine_povm())
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            model.sample_counts(1000, rng_seed=5, workers=workers)
+
+    def test_counts_in_rotated_frames(self):
+        """Every frame certifies the flipped SIC POVM; Bob must follow the frame.
+
+        Three chi-squared checks at p >= 1e-3: a correct sampler on a new RNG
+        stream fails one with probability about 0.3%.
+        """
+        alice, bob = sic_povm(), trine_povm()
+        flipped = alice.flipped()
+        quantum = werner_joint_quantum(alice, bob, 0.5).table
+        for k, rot in enumerate(random_rotations(3, np.random.default_rng(32))):
+            frame = evaluate_frame(flipped, rot)
+            model = LhsModel(alice, bob, flipped, frame, build_table(flipped, frame))
+            counts = model.sample_counts(200_000, rng_seed=400 + k)
+            assert chi_squared_test(counts, quantum).pvalue >= 1e-3
 
     def test_projective_pair_frequencies(self):
         povm = projective_povm([0, 0, 1])
