@@ -8,7 +8,6 @@ and by Monte Carlo, and evaluates the CHSH consequences.
 """
 
 from .bloch import (
-    EPS_EXACT,
     EPS_ORTHO,
     EPS_PSD,
     NotPositiveError,
@@ -16,7 +15,6 @@ from .bloch import (
     eigen_rank1_split,
     is_psd,
     is_rotation,
-    random_rotation,
     random_rotations,
     random_unit_vectors,
     rotation_from_euler_zyz,
@@ -30,8 +28,6 @@ from .frames import (
     FrameCertificate,
     FrameMethod,
     FrameNotFoundError,
-    SicBoundReport,
-    check_sic_universal_frame,
     evaluate_frame,
     find_frame,
     positive_part,

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Centralised tolerances.  EPS_ORTHO guards rotation orthogonality,
-# EPS_PSD positive-semidefiniteness, EPS_EXACT algebraic identities.
+# EPS_PSD positive-semidefiniteness.
 EPS_ORTHO = 1e-12
 EPS_PSD = 1e-12
-EPS_EXACT = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -29,6 +28,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+_EYE3 = np.eye(3)
 
 
 class NotPositiveError(ValueError):
@@ -49,8 +49,9 @@ def is_rotation(mat, atol: float = EPS_ORTHO) -> bool:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         return False
-    ortho = np.max(np.abs(mat.T @ mat - np.eye(3)))
-    return bool(ortho <= atol and abs(np.linalg.det(mat) - 1.0) <= atol)
+    (a, b, c), (d, e, f), (g, h, i) = mat.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return bool(np.max(np.abs(mat.T @ mat - _EYE3)) <= atol) and abs(det - 1.0) <= atol
 
 
 def require_rotation(mat, atol: float = EPS_ORTHO) -> np.ndarray:
@@ -121,10 +122,6 @@ def random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    return random_rotations(1, rng)[0]
-
-
 def orthonormal_frame(x_axis) -> np.ndarray:
     """Rotation whose first column is ``x_axis`` (a unit vector).
 
@@ -177,10 +174,6 @@ class PauliOperator:
     @property
     def trace(self) -> float:
         return 2.0 * self.t
-
-
-IDENTITY_OP = PauliOperator(1.0, np.zeros(3))
-ZERO_OP = PauliOperator(0.0, np.zeros(3))
 
 
 def to_dense(op: PauliOperator) -> np.ndarray:

@@ -302,6 +302,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_vector_values(argv))
     try:
+        if args.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {args.workers}")
         return args.func(args)
     except FrameNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ Such a frame always exists, and has a closed form:
    ``mass(v_s) <= (1/2) sqrt(sum_i p_i) sqrt(sum_i p_i (v_s . a_i)^2)
    = (1/2) sqrt(2) sqrt(2) = 1``.
 
-For the tetrahedral (SIC) POVM ``M = (2/3) I``, so every frame certifies
-(:func:`check_sic_universal_frame`).  The bound is tight exactly when all
-``|v_s . a_i|`` are equal, as for the octahedral POVM in its own frame.
+For the tetrahedral (SIC) POVM ``M = (2/3) I``, so every frame certifies.
+The bound is tight exactly when all ``|v_s . a_i|`` are equal, as for the
+octahedral POVM in its own frame.
 
 Tolerances.  A POVM accepted by ``require_valid`` meets its invariants only
 to ``VALIDATION_ATOL = 1e-10``.  A closure residual ``r`` adds
@@ -35,16 +35,24 @@ checked against.
 :func:`find_frame` keeps three routes: an exact frame for two outcomes, an
 in-plane bisection for coplanar directions, and, in general, the hint, the
 identity or the eigenframe of ``M``, whichever certifies first.
+
+A bisection step at angle ``t`` needs two vertices, ``(c - s, c + s, 1)`` and
+``(c + s, s - c, 1)`` in start-frame coordinates (``c, s = cos t, sin t``):
+one ``2 x 3`` product with the directions, transformed once.  Within
+``_GAP_BAND`` of an exit threshold a step is re-evaluated per vertex, so every
+output bit is that of the per-vertex bisection in ``tests/oracles.py``.
+Each certificate carries its POVM and ``8 x n`` matrix ``max(v_s . a_i, 0)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .bloch import orthonormal_frame, random_unit_vectors, require_rotation, rotation_from_euler_zyz
+from .bloch import orthonormal_frame, require_rotation, rotation_from_euler_zyz
 from .povm import QubitPovm, require_valid
 
 # A frame certifies when the largest vertex value is below 1 + FRAME_ATOL.
@@ -53,6 +61,11 @@ FRAME_ATOL = 1e-9
 # Smallest singular value of the direction matrix below which the POVM is
 # treated as coplanar.
 COPLANAR_SVAL = 1e-9
+
+# Band around a bisection exit threshold inside which a step's closed-form
+# gap is re-evaluated per vertex: ten times the largest disagreement between
+# the two that tests/test_frames.py measures.
+_GAP_BAND = 1e-14
 
 # Octant sign patterns in a fixed order: lexicographic with +1 before -1.
 OCTANT_SIGNS = np.array(
@@ -117,13 +130,18 @@ class FrameCertificate:
 
     ``method`` names the route that produced the rotation.  A certificate
     from :func:`find_frame` has ``max_value <= 1 + FRAME_ATOL``; one from
-    :func:`evaluate_frame` with ``check=False`` need not.
+    :func:`evaluate_frame` with ``check=False`` need not.  ``povm`` is the
+    POVM it was evaluated for, and ``projections`` the read-only ``8 x n``
+    matrix ``max(v_s . a_i, 0)``, so ``vertex_values = projections @
+    povm.weights``.  Neither is serialised.
     """
 
     cube: CubeVertices
     vertex_values: np.ndarray
     max_value: float
     method: FrameMethod
+    povm: QubitPovm
+    projections: np.ndarray
 
     @property
     def rotation(self) -> np.ndarray:
@@ -147,12 +165,14 @@ def evaluate_frame(
     ``max_value <= 1 + FRAME_ATOL``.
     """
     cube = CubeVertices.from_rotation(rotation)
-    values = projection_mass(povm, cube.vertices)
+    projections = positive_part(cube.vertices @ povm.directions.T)
+    values = projections @ povm.weights
+    projections.setflags(write=False)
     values.setflags(write=False)
     max_value = float(values.max())
     if check and max_value > 1.0 + FRAME_ATOL:
         raise ValueError(f"rotation does not certify: max vertex value {max_value}")
-    return FrameCertificate(cube=cube, vertex_values=values, max_value=max_value, method=method)
+    return FrameCertificate(cube, values, max_value, method, povm, projections)
 
 
 def _second_moment_frame(povm: QubitPovm) -> np.ndarray:
@@ -186,6 +206,14 @@ def _find_frame_minimax(povm: QubitPovm, hint) -> FrameCertificate:
     return evaluate_frame(povm, _second_moment_frame(povm), FrameMethod.MINIMAX_SEARCH, check=False)
 
 
+def _vertex_gap(coords: np.ndarray, weights: np.ndarray, angle: float) -> float:
+    """Gap between the two vertex classes; ``coords`` are start-frame directions as columns."""
+    c, s = math.cos(angle), math.sin(angle)
+    pair = positive_part(np.array([[c - s, c + s, 1.0], [c + s, s - c, 1.0]]) @ coords) @ weights
+    c1, c2 = pair.tolist()
+    return c1 - c2
+
+
 def _find_frame_coplanar(povm: QubitPovm) -> FrameCertificate:
     # Plane normal: least-significant right-singular vector of the
     # direction matrix, with a sign convention for determinism.
@@ -195,19 +223,21 @@ def _find_frame_coplanar(povm: QubitPovm) -> FrameCertificate:
         normal = -normal
     base = orthonormal_frame(normal)
     frame0 = np.column_stack([base[:, 1], base[:, 2], base[:, 0]])
+    coords = frame0.T @ povm.directions.T
 
     def rotation_at(angle: float) -> np.ndarray:
         c, s = np.cos(angle), np.sin(angle)
         return frame0 @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
-    def vertex_pair(angle: float) -> tuple[float, float]:
-        rot = rotation_at(angle)
-        c1 = projection_mass(povm, rot @ np.array([1.0, 1.0, 1.0]))
-        c2 = projection_mass(povm, rot @ np.array([1.0, -1.0, 1.0]))
-        return c1, c2
+    def gap_at(angle: float, exit_gap: float) -> float:
+        gap = _vertex_gap(coords, povm.weights, angle)
+        if abs(abs(gap) - exit_gap) <= _GAP_BAND:
+            rot = rotation_at(angle)
+            c1, c2 = (projection_mass(povm, rot @ [1.0, sign, 1.0]) for sign in (1.0, -1.0))
+            gap = c1 - c2
+        return gap
 
-    c1, c2 = vertex_pair(0.0)
-    gap = c1 - c2
+    gap = gap_at(0.0, 1e-12)
     if abs(gap) <= 1e-12:
         return evaluate_frame(povm, frame0, FrameMethod.COPLANAR_BISECTION, check=False)
     # A quarter turn swaps the two vertex classes, so the gap changes sign
@@ -216,8 +246,7 @@ def _find_frame_coplanar(povm: QubitPovm) -> FrameCertificate:
     gap_lo = gap
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        c1, c2 = vertex_pair(mid)
-        gap_mid = c1 - c2
+        gap_mid = gap_at(mid, 1e-13)
         if abs(gap_mid) <= 1e-13:
             lo = hi = mid
             break
@@ -262,47 +291,3 @@ def find_frame(povm: QubitPovm, hint=None) -> FrameCertificate:
             f"{cert.method.value} frame does not certify: max vertex value {cert.max_value}"
         )
     return cert
-
-
-# ---------------------------------------------------------------------------
-# SIC-specific check: for the tetrahedral POVM every frame certifies.
-
-_SIC_GRAM_OFFDIAG = -1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class SicBoundReport:
-    n_samples: int
-    n_violations: int
-    max_value: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.n_violations == 0
-
-
-def check_sic_universal_frame(
-    povm: QubitPovm, n_samples: int, rng_seed: int, tolerance: float = 1e-12
-) -> SicBoundReport:
-    """Probe ``mass(x) <= 1`` on random points of radius sqrt(3).
-
-    Valid for the tetrahedral (SIC) POVM, where the bound holds in every
-    frame; the input is checked to be SIC-like (four weight-1/2 outcomes
-    with pairwise direction overlaps of -1/3) before sampling.
-    """
-    if povm.n_outcomes != 4 or np.max(np.abs(povm.weights - 0.5)) > 1e-9:
-        raise ValueError("expected a 4-outcome POVM with all weights 1/2")
-    gram = povm.directions @ povm.directions.T
-    off = gram[~np.eye(4, dtype=bool)]
-    if np.max(np.abs(off - _SIC_GRAM_OFFDIAG)) > 1e-9:
-        raise ValueError("directions are not tetrahedral")
-    rng = np.random.default_rng(rng_seed)
-    points = np.sqrt(3.0) * random_unit_vectors(n_samples, rng)
-    values = projection_mass(povm, points)
-    return SicBoundReport(
-        n_samples=n_samples,
-        n_violations=int(np.sum(values > 1.0 + tolerance)),
-        max_value=float(values.max()) if n_samples else 0.0,
-        tolerance=tolerance,
-    )

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import PauliOperator, random_unit_vectors
-from .frames import (
-    FRAME_ATOL,
-    OCTANT_SIGNS,
-    FrameCertificate,
-    find_frame,
-    positive_part,
-)
+from .frames import FRAME_ATOL, OCTANT_SIGNS, FrameCertificate, find_frame
 from .povm import QubitPovm, born_probabilities
 from .stats import z_scores
 
@@ -52,7 +46,7 @@ _MC_CHUNK = 1 << 17
 
 
 class InvalidFrameError(ValueError):
-    """Raised when a conditional table is requested for a non-certified frame."""
+    """Raised when a table is requested for a frame not certified for its POVM."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +68,19 @@ def octant_operators(frame: FrameCertificate) -> list[OctantOperator]:
     ]
 
 
+def _projections(povm: QubitPovm, frame: FrameCertificate) -> np.ndarray:
+    """The certificate's ``max(v_s . a_i, 0)``, once it is known to be for ``povm``."""
+    other = frame.povm
+    if other is not povm and not (
+        np.array_equal(other.weights, povm.weights) and np.array_equal(other.directions, povm.directions)
+    ):
+        raise InvalidFrameError("frame was certified for a different POVM")
+    return frame.projections
+
+
 def noise_weights(povm: QubitPovm, frame: FrameCertificate) -> np.ndarray:
     """Per-outcome noise weights; nonnegative for every POVM and frame."""
-    theta_sum = positive_part(frame.cube.vertices @ povm.directions.T).sum(axis=0)
+    theta_sum = _projections(povm, frame).sum(axis=0)
     return povm.weights / 2.0 * (1.0 - theta_sum / 4.0)
 
 
@@ -96,12 +100,18 @@ class ConditionalProbabilityTable:
 
 
 def build_table(povm: QubitPovm, frame: FrameCertificate) -> ConditionalProbabilityTable:
-    """Conditional probabilities realising the parent-measurement protocol."""
+    """Conditional probabilities realising the parent-measurement protocol.
+
+    ``frame`` must certify ``povm`` (or a POVM with equal arrays) to ``1 +
+    FRAME_ATOL``, else :class:`InvalidFrameError`; the deterministic term is
+    its projection matrix times the weights.
+    """
+    projections = _projections(povm, frame)
     if frame.max_value > 1.0 + FRAME_ATOL:
         raise InvalidFrameError(
             f"frame max vertex value {frame.max_value} exceeds 1 + {FRAME_ATOL}"
         )
-    deterministic = positive_part(frame.cube.vertices @ povm.directions.T) * povm.weights
+    deterministic = projections * povm.weights
     vertex_mass = deterministic.sum(axis=1)
     alphas = povm.weights / 2.0 - deterministic.sum(axis=0) / 8.0
     alpha_sum = float(alphas.sum())
@@ -158,7 +168,7 @@ def verify_decomposition(cpt: ConditionalProbabilityTable) -> DecompositionRepor
         np.abs(recon_t - target_t),
         np.max(np.abs(recon_w - target_w), axis=1),
     )
-    deterministic = positive_part(vertices @ povm.directions.T) * povm.weights
+    deterministic = frame.projections * povm.weights
     det_t = deterministic.sum(axis=0) / 8.0
     det_w = deterministic.T @ vertices / 16.0
     det_res = np.maximum(

@@ -51,8 +51,8 @@ class QubitPovm:
 
     weights: np.ndarray
     directions: np.ndarray
-    # Set by require_valid at VALIDATION_ATOL; sound because the arrays are read-only.
-    _validated: bool = field(default=False, init=False, repr=False)
+    # Passing report at VALIDATION_ATOL, stored by require_valid; sound as the arrays are read-only.
+    _validation: PovmValidation | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
@@ -84,10 +84,11 @@ class QubitPovm:
     def flipped(self) -> "QubitPovm":
         """Same weights with every direction negated (closure is preserved).
 
-        Every validation residual is bit-identical, so the record carries over.
+        Every validation residual is bit-identical, so the stored report
+        carries over.
         """
         out = QubitPovm(self.weights, -self.directions)
-        object.__setattr__(out, "_validated", self._validated)
+        object.__setattr__(out, "_validation", self._validation)
         return out
 
 
@@ -125,7 +126,12 @@ class PovmValidation:
 
 
 def validate(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> PovmValidation:
-    """Report-style check of the four POVM invariants."""
+    """Report-style check of the four POVM invariants.
+
+    Returns the report :func:`require_valid` stored, if any, at the default ``atol``.
+    """
+    if atol == VALIDATION_ATOL and povm._validation is not None:
+        return povm._validation
     w, d = povm.weights, povm.directions
     live = w > 0
     norms = np.linalg.norm(d[live], axis=1) if np.any(live) else np.zeros(0)
@@ -142,11 +148,11 @@ def validate(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> PovmValidation:
 def require_valid(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> QubitPovm:
     """Return ``povm`` if it passes :func:`validate`, else raise ``NotAPovmError``.
 
-    A pass at ``VALIDATION_ATOL`` is recorded and not repeated; any other
-    ``atol`` runs the full check.
+    A pass at ``VALIDATION_ATOL`` stores its report on the POVM and is not
+    repeated; any other ``atol`` runs the full check.
     """
     default_atol = atol == VALIDATION_ATOL
-    if default_atol and povm._validated:
+    if default_atol and povm._validation is not None:
         return povm
     report = validate(povm, atol)
     if not report.passed:
@@ -158,7 +164,7 @@ def require_valid(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> QubitPovm:
             f"closure_residual={report.closure_residual:.3g}"
         )
     if default_atol:
-        object.__setattr__(povm, "_validated", True)
+        object.__setattr__(povm, "_validation", report)
     return povm
 
 

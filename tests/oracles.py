@@ -9,15 +9,24 @@ quantities along independent routes, so tests can compare the two:
 * spherical quadrature of the octant operators ``I/8 + v_s . sigma / 16``;
 * the absolute-value form of the projection mass and the four cube-vertex
   identities behind the frame bounds;
-* ``rotate``, a rotation applied to one vector or a batch of row vectors.
+* ``rotate``, a rotation applied to one vector or a batch of row vectors;
+* the coplanar bisection with a rotation and two ``projection_mass`` calls
+  per step, which ``frames._find_frame_coplanar`` must match bit for bit;
+* the SIC any-frame bound probed at random points of radius sqrt(3).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from povmsim.bloch import PauliOperator, to_dense
-from povmsim.frames import OCTANT_SIGNS, CubeVertices, FrameCertificate, positive_part
+from povmsim.bloch import PauliOperator, orthonormal_frame, random_unit_vectors, to_dense
+from povmsim.frames import (
+    OCTANT_SIGNS,
+    CubeVertices,
+    FrameCertificate,
+    positive_part,
+    projection_mass,
+)
 from povmsim.povm import QubitPovm, projective_povm, require_visibility
 
 # |psi-> = (|01> - |10>) / sqrt(2), basis order |00>, |01>, |10>, |11>.
@@ -158,4 +167,89 @@ def cube_vertex_identities(a, cube: CubeVertices, atol: float = 1e-10) -> CubeId
         linear_residual=float(np.max(np.abs(linear - 8.0 * a))),
         positive_part_residual=float(np.max(np.abs(positive - 4.0 * a))),
         atol=atol,
+    )
+
+
+def coplanar_bisection_rotation(povm: QubitPovm) -> np.ndarray:
+    """The coplanar bisection evaluated per vertex: the reference for ``frames``.
+
+    Same start frame, exit thresholds, lo/hi updates and step count as
+    ``frames._find_frame_coplanar``, but every step builds the rotation and
+    evaluates the two vertex classes with ``projection_mass``.
+    """
+    _, _, vt = np.linalg.svd(povm.directions)
+    normal = vt[2]
+    if normal[np.argmax(np.abs(normal))] < 0:
+        normal = -normal
+    base = orthonormal_frame(normal)
+    frame0 = np.column_stack([base[:, 1], base[:, 2], base[:, 0]])
+
+    def rotation_at(angle: float) -> np.ndarray:
+        c, s = np.cos(angle), np.sin(angle)
+        return frame0 @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    def gap_at(angle: float) -> float:
+        rot = rotation_at(angle)
+        c1 = projection_mass(povm, rot @ np.array([1.0, 1.0, 1.0]))
+        c2 = projection_mass(povm, rot @ np.array([1.0, -1.0, 1.0]))
+        return c1 - c2
+
+    gap = gap_at(0.0)
+    if abs(gap) <= 1e-12:
+        return frame0
+    lo, hi = 0.0, np.pi / 2.0
+    gap_lo = gap
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        gap_mid = gap_at(mid)
+        if abs(gap_mid) <= 1e-13:
+            lo = hi = mid
+            break
+        if (gap_mid > 0) == (gap_lo > 0):
+            lo, gap_lo = mid, gap_mid
+        else:
+            hi = mid
+    return rotation_at(0.5 * (lo + hi))
+
+
+# The tetrahedral (SIC) POVM: every frame certifies, since M = (2/3) I.
+
+_SIC_GRAM_OFFDIAG = -1.0 / 3.0
+
+
+@dataclass(frozen=True)
+class SicBoundReport:
+    n_samples: int
+    n_violations: int
+    max_value: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.n_violations == 0
+
+
+def check_sic_universal_frame(
+    povm: QubitPovm, n_samples: int, rng_seed: int, tolerance: float = 1e-12
+) -> SicBoundReport:
+    """Probe ``mass(x) <= 1`` on random points of radius sqrt(3).
+
+    Valid for the tetrahedral (SIC) POVM, where the bound holds in every
+    frame; the input is checked to be SIC-like (four weight-1/2 outcomes
+    with pairwise direction overlaps of -1/3) before sampling.
+    """
+    if povm.n_outcomes != 4 or np.max(np.abs(povm.weights - 0.5)) > 1e-9:
+        raise ValueError("expected a 4-outcome POVM with all weights 1/2")
+    gram = povm.directions @ povm.directions.T
+    off = gram[~np.eye(4, dtype=bool)]
+    if np.max(np.abs(off - _SIC_GRAM_OFFDIAG)) > 1e-9:
+        raise ValueError("directions are not tetrahedral")
+    rng = np.random.default_rng(rng_seed)
+    points = np.sqrt(3.0) * random_unit_vectors(n_samples, rng)
+    values = projection_mass(povm, points)
+    return SicBoundReport(
+        n_samples=n_samples,
+        n_violations=int(np.sum(values > 1.0 + tolerance)),
+        max_value=float(values.max()) if n_samples else 0.0,
+        tolerance=tolerance,
     )

@@ -9,14 +9,13 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import octant_operators_quadrature, projection_mass_abs
+from oracles import check_sic_universal_frame, octant_operators_quadrature, projection_mass_abs
 
 from povmsim.bloch import PauliOperator, random_rotations
 from povmsim.frames import (
     OCTANT_SIGNS,
     CubeVertices,
     FrameMethod,
-    check_sic_universal_frame,
     evaluate_frame,
     find_frame,
     positive_part,

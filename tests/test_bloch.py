@@ -59,6 +59,18 @@ def test_random_rotations_are_rotations():
         assert is_rotation(r, atol=1e-12)
 
 
+def test_is_rotation_rejects_improper_and_non_orthogonal():
+    rng = np.random.default_rng(6)
+    for r in random_rotations(50, rng):
+        reflection = r * np.array([1.0, 1.0, -1.0])
+        assert not is_rotation(reflection)
+        assert is_rotation(r + 1e-14 * rng.standard_normal((3, 3)))
+        assert not is_rotation(r + 1e-10 * rng.standard_normal((3, 3)))
+        assert not is_rotation((1.0 + 1e-10) * r)
+    assert not is_rotation(np.eye(2))
+    assert not is_rotation(np.full((3, 3), np.nan))
+
+
 def test_euler_batch_matches_scalar():
     rng = np.random.default_rng(1)
     batch = rng.random((20, 3)) * np.pi

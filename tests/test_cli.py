@@ -151,6 +151,24 @@ class TestWorkers:
         assert captured.out == ""
         assert "workers must be at least 1" in captured.err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-p", str(fixture_path("sic.json"))],
+            ["werner", "--alice", str(fixture_path("trine.json")),
+             "--bob", str(fixture_path("sic.json")), "-n", "0"],
+            ["chsh", "--eta", "0.5"],
+            ["random", "4", "--seed", "1"],
+        ],
+        ids=["verify", "werner_exact", "chsh", "random"],
+    )
+    def test_subcommands_that_never_sample_reject_it_too(self, argv, workers, capsys):
+        assert main([*argv, "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "workers must be at least 1" in captured.err
+
     @pytest.mark.parametrize("command", ["simulate", "werner"])
     def test_two_workers_change_only_the_header(self, command, capsys):
         # 300,000 samples are three chunks, so two workers share them.

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cube_vertex_identities, projection_mass_abs
+from oracles import (
+    check_sic_universal_frame,
+    coplanar_bisection_rotation,
+    cube_vertex_identities,
+    projection_mass_abs,
+)
 
 from povmsim import frames
 from povmsim.bloch import random_rotations, random_unit_vectors, require_rotation
@@ -13,8 +18,10 @@ from povmsim.frames import (
     CubeVertices,
     FrameMethod,
     FrameNotFoundError,
+    _find_frame_coplanar,
+    _GAP_BAND,
     _second_moment_frame,
-    check_sic_universal_frame,
+    _vertex_gap,
     evaluate_frame,
     find_frame,
     positive_part,
@@ -67,6 +74,50 @@ def near_projective_povm(n: int, seed: int, scale=(0.05, 0.15)) -> QubitPovm:
     return QubitPovm(
         np.append(weights, [t + norm, t - norm]), np.vstack([dirs, w / norm, -w / norm])
     )
+
+
+def planar_povm(n: int, seed: int) -> QubitPovm:
+    """``n - 1`` weighted directions in a random plane plus the one closing them."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n - 1)
+    dirs = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n - 1)])
+    weights = rng.uniform(0.2, 1.0, n - 1)
+    rest = weights @ dirs
+    norm = np.linalg.norm(rest)
+    weights = np.append(weights, norm)
+    dirs = np.vstack([dirs, -rest / norm]) @ random_rotations(1, rng)[0].T
+    return QubitPovm(2.0 * weights / weights.sum(), dirs)
+
+
+def smallest_sval(povm: QubitPovm) -> float:
+    return np.linalg.svd(povm.directions, compute_uv=False)[-1]
+
+
+def near_coplanar_povm(rng: np.random.Generator) -> QubitPovm:
+    """A closed planar set plus an antipodal pair tilted out of the plane by eps.
+
+    The smallest singular value grows linearly in eps; eps is scaled to put
+    it at 1.5 to 5 times COPLANAR_SVAL, so the minimax route sees a nearly
+    singular M.
+    """
+    n_plane = int(rng.integers(3, 12))
+    theta = rng.uniform(0.0, 2.0 * np.pi, n_plane - 1)
+    dirs = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n_plane - 1)])
+    weights = rng.uniform(0.2, 1.0, n_plane - 1)
+    rest = weights @ dirs
+    dirs = np.vstack([dirs, -rest / np.linalg.norm(rest)])
+    weights = np.append(weights, np.linalg.norm(rest))
+    pair = rng.uniform(0.05, 0.5)
+    weights = np.append(weights * (2.0 - 2.0 * pair) / weights.sum(), [pair, pair])
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    rot = random_rotations(1, rng)[0]
+
+    def tilted(eps):
+        tilt = [np.cos(phi) * np.cos(eps), np.sin(phi) * np.cos(eps), np.sin(eps)]
+        return QubitPovm(weights, np.vstack([dirs, tilt, np.negative(tilt)]) @ rot.T)
+
+    eps = 1e-6 / smallest_sval(tilted(1e-6)) * rng.uniform(1.5, 5.0) * COPLANAR_SVAL
+    return tilted(eps)
 
 
 def assert_certified(povm: QubitPovm, method=FrameMethod.MINIMAX_SEARCH):
@@ -274,6 +325,18 @@ class TestClosedFormFrame:
         with pytest.raises(FrameNotFoundError):
             find_frame(povm)
 
+    def test_certificate_carries_its_projection_matrix(self):
+        for seed in range(40):
+            povm = random_povm(2 + seed % 9, 5000 + seed)
+            cert = find_frame(povm)
+            assert cert.povm is povm
+            assert cert.projections.shape == (8, povm.n_outcomes)
+            assert not cert.projections.flags.writeable
+            np.testing.assert_array_equal(
+                cert.projections, positive_part(cert.cube.vertices @ povm.directions.T)
+            )
+            np.testing.assert_array_equal(cert.vertex_values, cert.projections @ povm.weights)
+
     def test_serialised_keys(self):
         cert = find_frame(sic_povm())
         assert set(cert.to_dict()) == {"rotation", "vertex_values", "max_value", "method"}
@@ -350,34 +413,10 @@ class TestFrameBoundAcrossPovmSpace:
         assert_certified(povm_from_dict(doc))
 
     def test_near_coplanar(self):
-        # A closed planar set plus an antipodal pair tilted out of the plane
-        # by eps.  The smallest singular value grows linearly in eps; eps is
-        # scaled to put it at 1.5 to 5 times COPLANAR_SVAL, so the minimax
-        # route sees a nearly singular M.
         rng = np.random.default_rng(33)
         svals = []
         for _ in range(1000):
-            n_plane = int(rng.integers(3, 12))
-            theta = rng.uniform(0.0, 2.0 * np.pi, n_plane - 1)
-            dirs = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n_plane - 1)])
-            weights = rng.uniform(0.2, 1.0, n_plane - 1)
-            rest = weights @ dirs
-            dirs = np.vstack([dirs, -rest / np.linalg.norm(rest)])
-            weights = np.append(weights, np.linalg.norm(rest))
-            pair = rng.uniform(0.05, 0.5)
-            weights = np.append(weights * (2.0 - 2.0 * pair) / weights.sum(), [pair, pair])
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            rot = random_rotations(1, rng)[0]
-
-            def tilted(eps):
-                tilt = [np.cos(phi) * np.cos(eps), np.sin(phi) * np.cos(eps), np.sin(eps)]
-                return QubitPovm(weights, np.vstack([dirs, tilt, np.negative(tilt)]) @ rot.T)
-
-            def smallest_sval(povm):
-                return np.linalg.svd(povm.directions, compute_uv=False)[-1]
-
-            eps = 1e-6 / smallest_sval(tilted(1e-6)) * rng.uniform(1.5, 5.0) * COPLANAR_SVAL
-            povm = tilted(eps)
+            povm = near_coplanar_povm(rng)
             svals.append(smallest_sval(povm))
             assert_certified(povm)
         assert COPLANAR_SVAL < min(svals) and max(svals) < 6 * COPLANAR_SVAL
@@ -401,6 +440,47 @@ class TestFrameBoundAcrossPovmSpace:
             residuals = (report.closure_residual, report.weight_sum_residual, report.unit_norm_residual)
             assert min(residuals) >= 0.8 * VALIDATION_ATOL
             assert_certified(povm)
+
+
+class TestCoplanarBisection:
+    """The closed-form step against the per-vertex reference in ``oracles``."""
+
+    FAMILIES = {
+        "coplanar": lambda k, rng: planar_povm(3 + k % 10, 60_000 + k),
+        "collinear": lambda k, rng: random_povm(3, 61_000 + k),
+        "near_coplanar": lambda k, rng: near_coplanar_povm(rng),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bit_identical_to_per_vertex_reference(self, family):
+        rng = np.random.default_rng(35)
+        for k in range(1000):
+            povm = self.FAMILIES[family](k, rng)
+            # The near-coplanar family is off the route, so call it directly.
+            cert = _find_frame_coplanar(povm) if family == "near_coplanar" else find_frame(povm)
+            assert cert.method is FrameMethod.COPLANAR_BISECTION
+            reference = evaluate_frame(povm, coplanar_bisection_rotation(povm), check=False)
+            np.testing.assert_array_equal(cert.rotation, reference.rotation)
+            np.testing.assert_array_equal(cert.vertex_values, reference.vertex_values)
+
+    def test_closed_form_gap_inside_the_band(self):
+        # The per-vertex gap rotates the cube first; the closed form rotates
+        # the directions into the start frame once.  Any start frame works.
+        rng = np.random.default_rng(36)
+        worst = 0.0
+        for k in range(600):
+            family = ("coplanar", "collinear", "near_coplanar")[k % 3]
+            povm = self.FAMILIES[family](k, rng)
+            frame0 = random_rotations(1, rng)[0]
+            coords = frame0.T @ povm.directions.T
+            for angle in rng.uniform(0.0, np.pi / 2.0, 20):
+                c, s = np.cos(angle), np.sin(angle)
+                rot = frame0 @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+                per_vertex = projection_mass(povm, rot @ [1.0, 1.0, 1.0]) - projection_mass(
+                    povm, rot @ [1.0, -1.0, 1.0]
+                )
+                worst = max(worst, abs(_vertex_gap(coords, povm.weights, angle) - per_vertex))
+        assert worst <= _GAP_BAND / 10.0
 
 
 class TestSicUniversalFrame:

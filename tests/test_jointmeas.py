@@ -14,6 +14,7 @@ from povmsim.jointmeas import (
     verify_decomposition,
 )
 from povmsim.povm import (
+    QubitPovm,
     born_probabilities,
     projective_povm,
     random_povm,
@@ -123,6 +124,27 @@ class TestConditionalTable:
         bad = evaluate_frame(povm, np.eye(3), check=False)
         with pytest.raises(InvalidFrameError):
             build_table(povm, bad)
+
+
+    def test_rejects_certificate_of_another_povm(self):
+        povm = random_povm(5, 21)
+        for other in (random_povm(5, 22), random_povm(6, 23), povm.flipped()):
+            frame = find_frame(other)
+            with pytest.raises(InvalidFrameError, match="different POVM"):
+                build_table(povm, frame)
+            with pytest.raises(InvalidFrameError, match="different POVM"):
+                noise_weights(povm, frame)
+            with pytest.raises(InvalidFrameError, match="different POVM"):
+                simulate_statistics(povm, [0, 0, 0], 1000, rng_seed=0, frame=frame)
+
+    def test_accepts_certificate_of_an_equal_povm(self):
+        povm = random_povm(5, 24)
+        frame = find_frame(povm)
+        assert frame.povm is povm
+        twin = QubitPovm(povm.weights, povm.directions)
+        np.testing.assert_array_equal(build_table(twin, frame).table, build_table(povm, frame).table)
+        report = simulate_statistics(povm, [0.1, 0.2, 0.3], 1000, rng_seed=5, frame=frame)
+        assert report.counts.sum() == 1000
 
 
 class TestDecomposition:

@@ -116,7 +116,7 @@ class TestValidateOnce:
 
     def test_flipped_inherits_the_record(self, validate_calls):
         povm = povm_from_dict(povm_to_dict(random_povm(7, 11)))
-        assert povm._validated
+        assert povm._validation is not None
         calls = len(validate_calls)
         flipped = povm.flipped()
         assert require_valid(flipped) is flipped
@@ -140,9 +140,25 @@ class TestValidateOnce:
         assert require_valid(povm, atol=1e-3) is povm
         assert validate_calls == [VALIDATION_ATOL, 1e-13, 1e-3]
 
+    def test_validate_returns_the_stored_report(self):
+        povm = povm_from_dict(povm_to_dict(random_povm(9, 12)))
+        stored = validate(povm)
+        assert stored is povm._validation and stored is validate(povm)
+        fresh = validate(QubitPovm(povm.weights, povm.directions))
+        assert fresh is not stored and fresh == stored
+        assert validate(povm.flipped()) is stored
+        other = validate(povm, atol=1e-3)
+        assert other is not stored and other.atol == 1e-3
+
+    def test_directly_built_povm_is_checked_afresh(self):
+        povm = sic_povm()
+        first, second = validate(povm), validate(povm)
+        assert first is not second and first == second
+        assert povm._validation is None
+
     def test_looser_pass_is_not_recorded(self):
         povm = require_valid(off_closure_pair(1e-6), atol=1e-3)
-        assert not povm._validated
+        assert povm._validation is None
         with pytest.raises(NotAPovmError):
             require_valid(povm)
 
