@@ -8,20 +8,19 @@ and by Monte Carlo, and evaluates the CHSH consequences.
 """
 
 from .bloch import (
-    EPS_ORTHO,
-    EPS_PSD,
+    FRAME_ATOL,
+    ROUND_OFF,
+    VALIDATION_ATOL,
     NotPositiveError,
     PauliOperator,
     eigen_rank1_split,
     is_psd,
     is_rotation,
-    random_rotations,
     random_unit_vectors,
     rotation_from_euler_zyz,
     to_dense,
 )
 from .frames import (
-    FRAME_ATOL,
     OCTANT_LABELS,
     OCTANT_SIGNS,
     CubeVertices,

@@ -13,14 +13,25 @@ as oracles in tests; all production formulas are linear in ``(t, w)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Centralised tolerances.  EPS_ORTHO guards rotation orthogonality,
-# EPS_PSD positive-semidefiniteness.
-EPS_ORTHO = 1e-12
-EPS_PSD = 1e-12
+# The tolerance ladder: every slack outside the coplanar frame route is one
+# of these three rungs.  The README ("Tolerances") derives them.
+#
+# Round-off on an identity that holds exactly: a rotation's orthogonality,
+# t >= |w| for a PSD operator, noise weights that all vanish.  An outcome
+# lighter than this never fires and is dropped.
+ROUND_OFF = 1e-12
+# The POVM invariants of an input, and the residuals of everything built
+# from it.  Looser than ROUND_OFF so POVMs parsed from decimal JSON pass.
+VALIDATION_ATOL = 1e-10
+# Vertex values of a certified frame, and the table entries built from
+# them.  Input residuals at VALIDATION_ATOL move a vertex value by at most
+# about 2.4e-10 (``frames`` module docstring).
+FRAME_ATOL = 1e-9
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,47 +55,34 @@ def _as_vec3(v) -> np.ndarray:
     return v
 
 
-def is_rotation(mat, atol: float = EPS_ORTHO) -> bool:
-    """True when ``mat`` is orthogonal with determinant +1 within ``atol``."""
+def is_rotation(mat) -> bool:
+    """True when ``mat`` is orthogonal with determinant +1 within ``ROUND_OFF``."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         return False
     (a, b, c), (d, e, f), (g, h, i) = mat.tolist()
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return bool(np.max(np.abs(mat.T @ mat - _EYE3)) <= atol) and abs(det - 1.0) <= atol
+    return bool(np.max(np.abs(mat.T @ mat - _EYE3)) <= ROUND_OFF) and abs(det - 1.0) <= ROUND_OFF
 
 
-def require_rotation(mat, atol: float = EPS_ORTHO) -> np.ndarray:
+def require_rotation(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
-    if not is_rotation(mat, atol):
+    if not is_rotation(mat):
         raise ValueError("matrix is not a proper rotation")
     return mat
 
 
 def rotation_from_euler_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Rotation Rz(alpha) @ Ry(beta) @ Rz(gamma)."""
-    return euler_zyz_matrices(np.array([[alpha, beta, gamma]]))[0]
-
-
-def euler_zyz_matrices(angles) -> np.ndarray:
-    """Batched z-y-z Euler rotations.
-
-    ``angles`` has shape ``(m, 3)``; the result has shape ``(m, 3, 3)``.
-    """
-    angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    ca, cb, cg = (np.cos(angles[:, k]) for k in range(3))
-    sa, sb, sg = (np.sin(angles[:, k]) for k in range(3))
-    out = np.empty((angles.shape[0], 3, 3))
-    out[:, 0, 0] = ca * cb * cg - sa * sg
-    out[:, 0, 1] = -ca * cb * sg - sa * cg
-    out[:, 0, 2] = ca * sb
-    out[:, 1, 0] = sa * cb * cg + ca * sg
-    out[:, 1, 1] = -sa * cb * sg + ca * cg
-    out[:, 1, 2] = sa * sb
-    out[:, 2, 0] = -sb * cg
-    out[:, 2, 1] = sb * sg
-    out[:, 2, 2] = cb
-    return out
+    ca, cb, cg = math.cos(alpha), math.cos(beta), math.cos(gamma)
+    sa, sb, sg = math.sin(alpha), math.sin(beta), math.sin(gamma)
+    return np.array(
+        [
+            [ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb],
+            [sa * cb * cg + ca * sg, -sa * cb * sg + ca * cg, sa * sb],
+            [-sb * cg, sb * sg, cb],
+        ]
+    )
 
 
 def random_unit_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,29 +97,6 @@ def random_unit_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` Haar-random rotation matrices, shape ``(n, 3, 3)``.
-
-    Uses the uniform-quaternion construction of Shoemake.
-    """
-    u1, u2, u3 = rng.random(n), rng.random(n), rng.random(n)
-    qx = np.sqrt(1.0 - u1) * np.sin(2.0 * np.pi * u2)
-    qy = np.sqrt(1.0 - u1) * np.cos(2.0 * np.pi * u2)
-    qz = np.sqrt(u1) * np.sin(2.0 * np.pi * u3)
-    qw = np.sqrt(u1) * np.cos(2.0 * np.pi * u3)
-    out = np.empty((n, 3, 3))
-    out[:, 0, 0] = 1 - 2 * (qy * qy + qz * qz)
-    out[:, 0, 1] = 2 * (qx * qy - qz * qw)
-    out[:, 0, 2] = 2 * (qx * qz + qy * qw)
-    out[:, 1, 0] = 2 * (qx * qy + qz * qw)
-    out[:, 1, 1] = 1 - 2 * (qx * qx + qz * qz)
-    out[:, 1, 2] = 2 * (qy * qz - qx * qw)
-    out[:, 2, 0] = 2 * (qx * qz - qy * qw)
-    out[:, 2, 1] = 2 * (qy * qz + qx * qw)
-    out[:, 2, 2] = 1 - 2 * (qx * qx + qy * qy)
-    return out
-
-
 def orthonormal_frame(x_axis) -> np.ndarray:
     """Rotation whose first column is ``x_axis`` (a unit vector).
 
@@ -130,7 +105,7 @@ def orthonormal_frame(x_axis) -> np.ndarray:
     """
     x = _as_vec3(x_axis)
     nx = np.linalg.norm(x)
-    if abs(nx - 1.0) > 1e-9:
+    if abs(nx - 1.0) > FRAME_ATOL:
         raise ValueError("x_axis must be a unit vector")
     x = x / nx
     # Seed the completion with the standard basis vector least aligned to x.
@@ -181,12 +156,12 @@ def to_dense(op: PauliOperator) -> np.ndarray:
     return op.t * ID2 + np.tensordot(op.w, _PAULIS, axes=1)
 
 
-def is_psd(op: PauliOperator, atol: float = EPS_PSD) -> bool:
+def is_psd(op: PauliOperator) -> bool:
     """A Pauli-basis operator is PSD exactly when t >= |w|."""
-    return op.t >= float(np.linalg.norm(op.w)) - atol
+    return op.t >= float(np.linalg.norm(op.w)) - ROUND_OFF
 
 
-def eigen_rank1_split(op: PauliOperator, atol: float = EPS_PSD):
+def eigen_rank1_split(op: PauliOperator):
     """Split a PSD operator into two weighted rank-1 projectors.
 
     Returns ``((p_plus, d_plus), (p_minus, d_minus))`` where each piece is
@@ -196,7 +171,7 @@ def eigen_rank1_split(op: PauliOperator, atol: float = EPS_PSD):
     split along +z / -z.
     """
     wnorm = float(np.linalg.norm(op.w))
-    if op.t < wnorm - atol:
+    if op.t < wnorm - ROUND_OFF:
         raise NotPositiveError(f"operator not PSD: t={op.t}, |w|={wnorm}")
     if wnorm <= 1e-14:
         axis = np.array([0.0, 0.0, 1.0])

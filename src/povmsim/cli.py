@@ -24,12 +24,11 @@ import sys
 import numpy as np
 
 from . import __version__
+from .bloch import VALIDATION_ATOL
 from .frames import FrameNotFoundError, find_frame
 from .jointmeas import build_table, simulate_statistics, verify_decomposition
 from .povm import (
     GenerationFailedError,
-    InvalidStateError,
-    NotAPovmError,
     load_povm,
     povm_to_dict,
     random_povm,
@@ -48,8 +47,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_FRAME = 3
-
-_RESIDUAL_TOL = 1e-10
 
 
 def _fmt(value):
@@ -165,7 +162,7 @@ def cmd_werner(args) -> int:
     model = lhs_model(alice, bob)
     exact = model.joint_exact()
     deviation = float(np.max(np.abs(exact.table - quantum.table)))
-    ok = deviation <= _RESIDUAL_TOL
+    ok = deviation <= VALIDATION_ATOL
     payload = {
         "quantum": quantum.table,
         "lhs_exact": exact.table,
@@ -192,8 +189,6 @@ def cmd_werner(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    if not 0.0 <= args.eta <= 1.0:
-        raise InvalidStateError(f"eta must lie in [0, 1], got {args.eta}")
     if args.settings:
         vecs = [_parse_vec(part) for part in args.settings.split(";")]
         if len(vecs) != 4:
@@ -308,7 +303,7 @@ def main(argv=None) -> int:
     except FrameNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FRAME
-    except (NotAPovmError, InvalidStateError, GenerationFailedError, ValueError, OSError) as exc:
+    except (ValueError, GenerationFailedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,15 +22,16 @@ For the tetrahedral (SIC) POVM ``M = (2/3) I``, so every frame certifies.
 The bound is tight exactly when all ``|v_s . a_i|`` are equal, as for the
 octahedral POVM in its own frame.
 
-Tolerances.  A POVM accepted by ``require_valid`` meets its invariants only
-to ``VALIDATION_ATOL = 1e-10``.  A closure residual ``r`` adds
-``(1/2) v_s . r``, at most ``(sqrt(3)/2) |r|`` or about 0.9e-10, to the
-positive-part form.  A weight-sum residual ``e_w`` and unit-norm residual
-``e_n`` enter through ``sum_i p_i = 2 + e_w`` and
-``tr M = sum_i p_i |a_i|^2``, and raise the bound of step 3 to about
-``1 + e_w / 2 + e_n``, at most 1 + 1.5e-10.  With the round-off of ``eigh``
-the total stays below ``FRAME_ATOL = 1e-9``, the slack every certificate is
-checked against.
+Tolerances.  This derives the ``FRAME_ATOL`` rung of the ladder in
+``bloch``; the README ("Tolerances") gives all three rungs.  A POVM accepted
+by ``require_valid`` meets its invariants only to ``VALIDATION_ATOL =
+1e-10``.  A closure residual ``r`` adds ``(1/2) v_s . r``, at most
+``(sqrt(3)/2) |r|`` or about 0.9e-10, to the positive-part form.  A
+weight-sum residual ``e_w`` and unit-norm residual ``e_n`` enter through
+``sum_i p_i = 2 + e_w`` and ``tr M = sum_i p_i |a_i|^2``, and raise the
+bound of step 3 to about ``1 + e_w / 2 + e_n``, at most 1 + 1.5e-10.  With
+the round-off of ``eigh`` the total stays below ``FRAME_ATOL = 1e-9``, the
+slack every certificate is checked against.
 
 :func:`find_frame` keeps three routes: an exact frame for two outcomes, an
 in-plane bisection for coplanar directions, and, in general, the hint, the
@@ -52,11 +53,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import orthonormal_frame, require_rotation, rotation_from_euler_zyz
+from .bloch import FRAME_ATOL, orthonormal_frame, require_rotation, rotation_from_euler_zyz
 from .povm import QubitPovm, require_valid
-
-# A frame certifies when the largest vertex value is below 1 + FRAME_ATOL.
-FRAME_ATOL = 1e-9
 
 # Smallest singular value of the direction matrix below which the POVM is
 # treated as coplanar.

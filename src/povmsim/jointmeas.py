@@ -33,14 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PauliOperator, random_unit_vectors
-from .frames import FRAME_ATOL, OCTANT_SIGNS, FrameCertificate, find_frame
+from .bloch import FRAME_ATOL, ROUND_OFF, VALIDATION_ATOL, PauliOperator, random_unit_vectors
+from .frames import OCTANT_SIGNS, FrameCertificate, find_frame
 from .povm import QubitPovm, born_probabilities
 from .stats import z_scores
-
-# Entries in (-TABLE_CLAMP, 0) or (1, 1 + TABLE_CLAMP), possible when the
-# frame sits at its acceptance tolerance, are clamped into [0, 1].
-TABLE_CLAMP = 1e-9
 
 _MC_CHUNK = 1 << 17
 
@@ -115,13 +111,15 @@ def build_table(povm: QubitPovm, frame: FrameCertificate) -> ConditionalProbabil
     vertex_mass = deterministic.sum(axis=1)
     alphas = povm.weights / 2.0 - deterministic.sum(axis=0) / 8.0
     alpha_sum = float(alphas.sum())
-    if alpha_sum < 1e-12:
+    if alpha_sum < ROUND_OFF:
         # All vertex values equal 1, the deterministic term already
         # normalises and the noise term would be 0/0.
         table = deterministic.copy()
     else:
         table = deterministic + np.outer(1.0 - vertex_mass, alphas / alpha_sum)
-    if table.min() < -TABLE_CLAMP or table.max() > 1.0 + TABLE_CLAMP:
+    # Entries within FRAME_ATOL outside [0, 1], possible when the frame sits
+    # at its acceptance tolerance, are clamped into [0, 1].
+    if table.min() < -FRAME_ATOL or table.max() > 1.0 + FRAME_ATOL:
         raise InvalidFrameError("conditional probabilities escape [0, 1] beyond tolerance")
     np.clip(table, 0.0, 1.0, out=table)
     row_sums = table.sum(axis=1)
@@ -142,11 +140,10 @@ class DecompositionReport:
     max_residual: float
     deterministic_residual: float
     noise_residual: float
-    atol: float = 1e-10
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.atol
+        return self.max_residual <= VALIDATION_ATOL
 
 
 def verify_decomposition(cpt: ConditionalProbabilityTable) -> DecompositionReport:
@@ -207,15 +204,15 @@ def octant_index(rotation: np.ndarray, lam) -> int | np.ndarray:
     return int(index) if index.ndim == 0 else index
 
 
-def _chunk_counts(total: int, seed: int, chunk_size: int = _MC_CHUNK):
+def _chunk_counts(total: int, seed: int):
     """Fixed chunk layout with one spawned RNG stream per chunk.
 
-    The layout depends only on (total, seed, chunk_size), never on how many
-    workers consume the chunks, so results are worker-count independent.
+    The layout depends only on (total, seed), never on how many workers
+    consume the chunks, so results are worker-count independent.
     """
-    n_chunks = max(1, -(-total // chunk_size)) if total else 0
+    n_chunks = max(1, -(-total // _MC_CHUNK)) if total else 0
     seeds = np.random.SeedSequence(seed).spawn(n_chunks) if n_chunks else []
-    sizes = [min(chunk_size, total - k * chunk_size) for k in range(n_chunks)]
+    sizes = [min(_MC_CHUNK, total - k * _MC_CHUNK) for k in range(n_chunks)]
     return sizes, seeds
 
 

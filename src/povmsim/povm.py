@@ -24,13 +24,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .bloch import EPS_PSD, PauliOperator, eigen_rank1_split, is_psd, random_unit_vectors
+from .bloch import (
+    ROUND_OFF,
+    VALIDATION_ATOL,
+    PauliOperator,
+    eigen_rank1_split,
+    is_psd,
+    random_unit_vectors,
+)
 
-# Looser than the algebraic 1e-12 so POVMs parsed from decimal JSON pass.
-VALIDATION_ATOL = 1e-10
-
-# Outcomes lighter than this never fire and are dropped everywhere.
-WEIGHT_FLOOR = 1e-12
+# Draws random_povm makes before it gives up.
+_MAX_RETRIES = 1000
 
 
 class NotAPovmError(ValueError):
@@ -51,7 +55,7 @@ class QubitPovm:
 
     weights: np.ndarray
     directions: np.ndarray
-    # Passing report at VALIDATION_ATOL, stored by require_valid; sound as the arrays are read-only.
+    # Passing report, stored by require_valid; sound as the arrays are read-only.
     _validation: PovmValidation | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -63,12 +67,6 @@ class QubitPovm:
         d.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "directions", d)
-
-    @classmethod
-    def from_outcomes(cls, outcomes: Sequence[tuple[float, Sequence[float]]]) -> "QubitPovm":
-        weights = [p for p, _ in outcomes]
-        directions = [a for _, a in outcomes]
-        return cls(np.array(weights, dtype=float), np.array(directions, dtype=float))
 
     @property
     def n_outcomes(self) -> int:
@@ -94,26 +92,25 @@ class QubitPovm:
 
 @dataclass(frozen=True)
 class PovmValidation:
-    """Per-invariant residuals for a candidate POVM."""
+    """Per-invariant residuals for a candidate POVM, each checked against ``VALIDATION_ATOL``."""
 
     weights_nonnegative: bool
     min_weight: float
     unit_norm_residual: float
     weight_sum_residual: float
     closure_residual: float
-    atol: float
 
     @property
     def directions_unit(self) -> bool:
-        return self.unit_norm_residual <= self.atol
+        return self.unit_norm_residual <= VALIDATION_ATOL
 
     @property
     def weight_sum_ok(self) -> bool:
-        return self.weight_sum_residual <= self.atol
+        return self.weight_sum_residual <= VALIDATION_ATOL
 
     @property
     def closure_ok(self) -> bool:
-        return self.closure_residual <= self.atol
+        return self.closure_residual <= VALIDATION_ATOL
 
     @property
     def passed(self) -> bool:
@@ -125,12 +122,12 @@ class PovmValidation:
         )
 
 
-def validate(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> PovmValidation:
+def validate(povm: QubitPovm) -> PovmValidation:
     """Report-style check of the four POVM invariants.
 
-    Returns the report :func:`require_valid` stored, if any, at the default ``atol``.
+    Returns the report :func:`require_valid` stored, if any.
     """
-    if atol == VALIDATION_ATOL and povm._validation is not None:
+    if povm._validation is not None:
         return povm._validation
     w, d = povm.weights, povm.directions
     live = w > 0
@@ -141,20 +138,17 @@ def validate(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> PovmValidation:
         unit_norm_residual=float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0,
         weight_sum_residual=abs(float(w.sum()) - 2.0),
         closure_residual=float(np.linalg.norm(w @ d)),
-        atol=atol,
     )
 
 
-def require_valid(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> QubitPovm:
+def require_valid(povm: QubitPovm) -> QubitPovm:
     """Return ``povm`` if it passes :func:`validate`, else raise ``NotAPovmError``.
 
-    A pass at ``VALIDATION_ATOL`` stores its report on the POVM and is not
-    repeated; any other ``atol`` runs the full check.
+    A pass stores its report on the POVM and is not repeated.
     """
-    default_atol = atol == VALIDATION_ATOL
-    if default_atol and povm._validation is not None:
+    if povm._validation is not None:
         return povm
-    report = validate(povm, atol)
+    report = validate(povm)
     if not report.passed:
         raise NotAPovmError(
             "invalid POVM: "
@@ -163,8 +157,7 @@ def require_valid(povm: QubitPovm, atol: float = VALIDATION_ATOL) -> QubitPovm:
             f"weight_sum_residual={report.weight_sum_residual:.3g}, "
             f"closure_residual={report.closure_residual:.3g}"
         )
-    if default_atol:
-        object.__setattr__(povm, "_validation", report)
+    object.__setattr__(povm, "_validation", report)
     return povm
 
 
@@ -206,7 +199,7 @@ def canonicalize(raw: Sequence[PauliOperator]) -> tuple[QubitPovm, list[int]]:
 
     Returns the rank-1 POVM and the relabelling map: entry ``k`` is the
     index of the original operator that canonical outcome ``k`` coarse-grains
-    back to.  Pieces below ``WEIGHT_FLOOR`` are dropped.
+    back to.  Pieces below ``ROUND_OFF`` are dropped.
     """
     total_t = sum(op.t for op in raw)
     total_w = np.sum([op.w for op in raw], axis=0)
@@ -214,10 +207,10 @@ def canonicalize(raw: Sequence[PauliOperator]) -> tuple[QubitPovm, list[int]]:
         raise NotAPovmError("operators do not sum to the identity")
     weights, directions, relabel = [], [], []
     for idx, op in enumerate(raw):
-        if not is_psd(op, EPS_PSD):
+        if not is_psd(op):
             raise NotAPovmError(f"element {idx} is not positive semidefinite")
         for p, axis in eigen_rank1_split(op):
-            if p < WEIGHT_FLOOR:
+            if p < ROUND_OFF:
                 continue
             weights.append(p)
             directions.append(axis)
@@ -226,7 +219,7 @@ def canonicalize(raw: Sequence[PauliOperator]) -> tuple[QubitPovm, list[int]]:
     return require_valid(povm), relabel
 
 
-def random_povm(n_outcomes: int, rng_seed: int, max_retries: int = 1000) -> QubitPovm:
+def random_povm(n_outcomes: int, rng_seed: int) -> QubitPovm:
     """Random valid POVM with exactly ``n_outcomes`` outcomes.
 
     Draws ``n - 2`` weighted Haar directions, then closes the sum to the
@@ -238,12 +231,12 @@ def random_povm(n_outcomes: int, rng_seed: int, max_retries: int = 1000) -> Qubi
     3-outcome POVM is collinear and every 4-outcome POVM coplanar; only from
     5 outcomes on are the directions in general position.  The
     general-position, near-projective, octahedral, duplicate-direction and
-    zero-weight families live in ``tests/test_frames.py``.
+    zero-weight families live in ``tests/povm_families.py``.
     """
     if n_outcomes < 2:
         raise ValueError("a POVM needs at least 2 outcomes")
     rng = np.random.default_rng(rng_seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         if n_outcomes == 2:
             # Closure with two unit-weight rank-1 outcomes forces an
             # antipodal pair; only the axis is random.
@@ -317,7 +310,7 @@ def povm_from_dict(data: dict) -> QubitPovm:
         raise NotAPovmError(f"malformed POVM document: {exc}") from exc
     if directions.ndim != 2 or directions.shape[1] != 3:
         raise NotAPovmError("each outcome direction must be a 3-vector")
-    keep = weights >= WEIGHT_FLOOR
+    keep = weights >= ROUND_OFF
     weights, directions = weights[keep], directions[keep]
     norms = np.linalg.norm(directions, axis=1)
     if np.any(norms == 0):

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
+# Cells expecting fewer counts than this are pooled before the test.
+_MIN_EXPECTED = 5.0
+
 
 def z_scores(counts, probs, n_samples: int) -> np.ndarray:
     """Binomial z-scores of observed counts against target probabilities.
@@ -36,23 +39,23 @@ class ChiSquaredResult:
     n_pooled: int
 
 
-def chi_squared_test(counts, probs, min_expected: float = 5.0) -> ChiSquaredResult:
+def chi_squared_test(counts, probs) -> ChiSquaredResult:
     """Pearson goodness-of-fit test with pooling of low-expectation cells.
 
-    Cells whose expected count falls below ``min_expected`` are pooled into
-    a single bucket before forming the statistic.
+    Cells expecting fewer than five counts are pooled into a single bucket
+    before forming the statistic.
     """
     counts = np.asarray(counts, dtype=float).ravel()
     probs = np.asarray(probs, dtype=float).ravel()
     n = counts.sum()
     expected = n * probs
-    big = expected >= min_expected
+    big = expected >= _MIN_EXPECTED
     obs = list(counts[big])
     exp = list(expected[big])
     n_pooled = int(np.sum(~big))
     if n_pooled:
         pooled_obs, pooled_exp = counts[~big].sum(), expected[~big].sum()
-        if exp and pooled_exp < min_expected:
+        if exp and pooled_exp < _MIN_EXPECTED:
             # Fold the leftovers into the smallest regular cell.
             k = int(np.argmin(exp))
             obs[k] += pooled_obs

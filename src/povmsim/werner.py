@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PauliOperator
+from .bloch import VALIDATION_ATOL, PauliOperator
 from .frames import FrameCertificate, find_frame
 from .jointmeas import ConditionalProbabilityTable, _octants, _sample_table, build_table
-from .povm import VALIDATION_ATOL, QubitPovm, require_valid, require_visibility
+from .povm import QubitPovm, require_valid, require_visibility
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,14 +48,6 @@ class JointDistribution:
         t = np.atleast_2d(np.asarray(self.table, dtype=float)).copy()
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
-
-    @property
-    def n_alice(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def n_bob(self) -> int:
-        return self.table.shape[1]
 
     @property
     def marginal_alice(self) -> np.ndarray:

@@ -9,7 +9,8 @@ quantities along independent routes, so tests can compare the two:
 * spherical quadrature of the octant operators ``I/8 + v_s . sigma / 16``;
 * the absolute-value form of the projection mass and the four cube-vertex
   identities behind the frame bounds;
-* ``rotate``, a rotation applied to one vector or a batch of row vectors;
+* ``rotate``, a rotation applied to one vector or a batch of row vectors,
+  and ``random_rotations``, Haar-random rotations for seeded tests;
 * the coplanar bisection with a rotation and two ``projection_mass`` calls
   per step, which ``frames._find_frame_coplanar`` must match bit for bit;
 * the SIC any-frame bound probed at random points of radius sqrt(3).
@@ -64,6 +65,29 @@ def rotate(rotation, v):
     rotation = np.asarray(rotation, dtype=float)
     v = np.asarray(v, dtype=float)
     return v @ rotation.T
+
+
+def random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` Haar-random rotation matrices, shape ``(n, 3, 3)``.
+
+    Uses the uniform-quaternion construction of Shoemake.
+    """
+    u1, u2, u3 = rng.random(n), rng.random(n), rng.random(n)
+    qx = np.sqrt(1.0 - u1) * np.sin(2.0 * np.pi * u2)
+    qy = np.sqrt(1.0 - u1) * np.cos(2.0 * np.pi * u2)
+    qz = np.sqrt(u1) * np.sin(2.0 * np.pi * u3)
+    qw = np.sqrt(u1) * np.cos(2.0 * np.pi * u3)
+    out = np.empty((n, 3, 3))
+    out[:, 0, 0] = 1 - 2 * (qy * qy + qz * qz)
+    out[:, 0, 1] = 2 * (qx * qy - qz * qw)
+    out[:, 0, 2] = 2 * (qx * qz + qy * qw)
+    out[:, 1, 0] = 2 * (qx * qy + qz * qw)
+    out[:, 1, 1] = 1 - 2 * (qx * qx + qz * qz)
+    out[:, 1, 2] = 2 * (qy * qz - qx * qw)
+    out[:, 2, 0] = 2 * (qx * qz - qy * qw)
+    out[:, 2, 1] = 2 * (qy * qz + qx * qw)
+    out[:, 2, 2] = 1 - 2 * (qx * qx + qy * qy)
+    return out
 
 
 def octant_operators_quadrature(

@@ -9,9 +9,14 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import check_sic_universal_frame, octant_operators_quadrature, projection_mass_abs
+from oracles import (
+    check_sic_universal_frame,
+    octant_operators_quadrature,
+    projection_mass_abs,
+    random_rotations,
+)
 
-from povmsim.bloch import PauliOperator, random_rotations
+from povmsim.bloch import PauliOperator
 from povmsim.frames import (
     OCTANT_SIGNS,
     CubeVertices,

@@ -198,6 +198,14 @@ class TestChshCommand:
         code, _, _ = run_cli("chsh", "--eta", "1.2")
         assert code == 2
 
+    @pytest.mark.parametrize("eta", ["nan", "-0.1", "1.2"])
+    def test_bad_eta_exits_2_in_process(self, eta, capsys):
+        code = main(["chsh", "--eta", eta])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "visibility must lie in [0, 1]" in captured.err
+
     def test_custom_settings(self, capsys):
         # All four axes equal: value |(-1) + (-1) + (-1) - (-1)| = 2.
         code = main(["chsh", "--eta", "1.0", "--settings", "0,0,1;0,0,1;0,0,1;0,0,1"])

@@ -1,5 +1,6 @@
-import subprocess
-import sys
+"""Every demo runs to completion, in-process, as its own ``__main__``."""
+
+import runpy
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,6 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

@@ -7,10 +7,21 @@ from oracles import (
     coplanar_bisection_rotation,
     cube_vertex_identities,
     projection_mass_abs,
+    random_rotations,
+)
+from povm_families import (
+    duplicate_direction_povm,
+    general_position_povm,
+    near_coplanar_povm,
+    near_projective_povm,
+    octahedral_povm,
+    planar_povm,
+    smallest_sval,
+    zero_weight_povm,
 )
 
 from povmsim import frames
-from povmsim.bloch import random_rotations, random_unit_vectors, require_rotation
+from povmsim.bloch import random_unit_vectors, require_rotation
 from povmsim.frames import (
     COPLANAR_SVAL,
     FRAME_ATOL,
@@ -40,84 +51,6 @@ from povmsim.povm import (
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6)
-
-
-def general_position_povm(n: int, seed: int) -> QubitPovm:
-    """``n - 1`` weighted random directions plus the direction closing them.
-
-    ``random_povm(4, .)`` is always coplanar; this family is in general
-    position from 4 outcomes on.
-    """
-    rng = np.random.default_rng(seed)
-    dirs = random_unit_vectors(n - 1, rng)
-    weights = rng.uniform(0.2, 1.0, n - 1)
-    rest = weights @ dirs
-    norm = np.linalg.norm(rest)
-    weights = np.append(weights, norm)
-    return QubitPovm(2.0 * weights / weights.sum(), np.vstack([dirs, -rest / norm]))
-
-
-def near_projective_povm(n: int, seed: int, scale=(0.05, 0.15)) -> QubitPovm:
-    """``n - 2`` light random outcomes plus an antipodal pair carrying the rest.
-
-    The random outcomes take a ``scale`` share of their cap, so the POVM is
-    close to the projective measurement along the pair's axis: the
-    tight-margin family.
-    """
-    rng = np.random.default_rng(seed)
-    dirs = random_unit_vectors(n - 2, rng)
-    weights = rng.uniform(0.2, 1.0, n - 2)
-    weights *= rng.uniform(*scale) * 2.0 / (weights.sum() + np.linalg.norm(weights @ dirs))
-    t = 1.0 - weights.sum() / 2.0
-    w = -(weights @ dirs) / 2.0
-    norm = np.linalg.norm(w)
-    return QubitPovm(
-        np.append(weights, [t + norm, t - norm]), np.vstack([dirs, w / norm, -w / norm])
-    )
-
-
-def planar_povm(n: int, seed: int) -> QubitPovm:
-    """``n - 1`` weighted directions in a random plane plus the one closing them."""
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, n - 1)
-    dirs = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n - 1)])
-    weights = rng.uniform(0.2, 1.0, n - 1)
-    rest = weights @ dirs
-    norm = np.linalg.norm(rest)
-    weights = np.append(weights, norm)
-    dirs = np.vstack([dirs, -rest / norm]) @ random_rotations(1, rng)[0].T
-    return QubitPovm(2.0 * weights / weights.sum(), dirs)
-
-
-def smallest_sval(povm: QubitPovm) -> float:
-    return np.linalg.svd(povm.directions, compute_uv=False)[-1]
-
-
-def near_coplanar_povm(rng: np.random.Generator) -> QubitPovm:
-    """A closed planar set plus an antipodal pair tilted out of the plane by eps.
-
-    The smallest singular value grows linearly in eps; eps is scaled to put
-    it at 1.5 to 5 times COPLANAR_SVAL, so the minimax route sees a nearly
-    singular M.
-    """
-    n_plane = int(rng.integers(3, 12))
-    theta = rng.uniform(0.0, 2.0 * np.pi, n_plane - 1)
-    dirs = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n_plane - 1)])
-    weights = rng.uniform(0.2, 1.0, n_plane - 1)
-    rest = weights @ dirs
-    dirs = np.vstack([dirs, -rest / np.linalg.norm(rest)])
-    weights = np.append(weights, np.linalg.norm(rest))
-    pair = rng.uniform(0.05, 0.5)
-    weights = np.append(weights * (2.0 - 2.0 * pair) / weights.sum(), [pair, pair])
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    rot = random_rotations(1, rng)[0]
-
-    def tilted(eps):
-        tilt = [np.cos(phi) * np.cos(eps), np.sin(phi) * np.cos(eps), np.sin(eps)]
-        return QubitPovm(weights, np.vstack([dirs, tilt, np.negative(tilt)]) @ rot.T)
-
-    eps = 1e-6 / smallest_sval(tilted(1e-6)) * rng.uniform(1.5, 5.0) * COPLANAR_SVAL
-    return tilted(eps)
 
 
 def assert_certified(povm: QubitPovm, method=FrameMethod.MINIMAX_SEARCH):
@@ -372,13 +305,12 @@ class TestFrameBoundAcrossPovmSpace:
         # w_k.  All |v . a_i| are 1 in that frame, so the bound holds with
         # equality on every vertex.
         rng = np.random.default_rng(30)
-        signs = np.tile([1.0, -1.0], 3)[:, None]
         for rot in random_rotations(1000, rng):
-            weights = rng.uniform(0.1, 1.0, 3)
-            povm = QubitPovm(np.repeat(weights / weights.sum(), 2), np.repeat(rot.T, 2, axis=0) * signs)
+            povm = octahedral_povm(rot, rng)
             assert_certified(povm)
             eigen = evaluate_frame(povm, _second_moment_frame(povm), check=False)
             np.testing.assert_allclose(eigen.vertex_values, 1.0, atol=1e-12)
+        signs = np.tile([1.0, -1.0], 3)[:, None]
         axes = QubitPovm(np.full(6, 1.0 / 3.0), np.repeat(np.eye(3), 2, axis=0) * signs)
         np.testing.assert_allclose(assert_certified(axes).vertex_values, 1.0, atol=1e-15)
 
@@ -388,22 +320,13 @@ class TestFrameBoundAcrossPovmSpace:
             base = (general_position_povm if seed % 2 else near_projective_povm)(
                 5 + seed % 10, 30_000 + seed
             )
-            copies = rng.integers(1, 4, base.n_outcomes)
-            shares = rng.uniform(0.1, 1.0, copies.sum())
-            owner = np.repeat(np.arange(base.n_outcomes), copies)
-            shares /= np.bincount(owner, shares)[owner]
-            assert_certified(QubitPovm(base.weights[owner] * shares, base.directions[owner]))
+            assert_certified(duplicate_direction_povm(base, rng))
 
     def test_zero_weights(self):
         rng = np.random.default_rng(32)
         for seed in range(1000):
             base = general_position_povm(4 + seed % 12, 40_000 + seed)
-            extra = 1 + seed % 3
-            # Zero-weight outcomes need no unit direction, and one may lift
-            # a coplanar POVM off the coplanar route.
-            junk = rng.standard_normal((extra, 3)) * rng.uniform(0.0, 5.0)
-            weights = np.append(base.weights, np.zeros(extra))
-            assert_certified(QubitPovm(weights, np.vstack([base.directions, junk])))
+            assert_certified(zero_weight_povm(base, 1 + seed % 3, rng))
         trine = trine_povm()
         lifted = QubitPovm(np.append(trine.weights, 0.0), np.vstack([trine.directions, [0.3, 0.1, 0.9]]))
         assert_certified(lifted)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from oracles import octant_operators_quadrature
+from oracles import octant_operators_quadrature, random_rotations
 
-from povmsim.bloch import PauliOperator, random_rotations, random_unit_vectors, to_dense
+from povmsim.bloch import PauliOperator, random_unit_vectors, to_dense
 from povmsim.frames import evaluate_frame, find_frame
 from povmsim.jointmeas import (
     InvalidFrameError,

@@ -8,7 +8,6 @@ from povmsim.bloch import PauliOperator, to_dense
 from povmsim.cli import EXIT_INPUT, main
 from povmsim.frames import find_frame
 from povmsim.povm import (
-    VALIDATION_ATOL,
     InvalidStateError,
     NotAPovmError,
     QubitPovm,
@@ -57,9 +56,9 @@ def validate_calls(monkeypatch):
     calls = []
     real = povm_module.validate
 
-    def counting(povm, atol=VALIDATION_ATOL):
-        calls.append(atol)
-        return real(povm, atol)
+    def counting(povm):
+        calls.append(povm)
+        return real(povm)
 
     monkeypatch.setattr(povm_module, "validate", counting)
     return calls
@@ -87,7 +86,7 @@ class TestValidateOnce:
         povm = sic_povm()
         find_frame(povm)
         find_frame(povm)
-        assert validate_calls == [VALIDATION_ATOL]
+        assert validate_calls == [povm]
 
     def test_off_closure_povm_still_rejected(self, validate_calls):
         bad = off_closure_pair(1e-6)
@@ -104,7 +103,7 @@ class TestValidateOnce:
         with pytest.raises(NotAPovmError):
             werner_joint_quantum(good, bad, 0.5)
         # A failed check is not recorded, so every call checks again.
-        assert validate_calls.count(VALIDATION_ATOL) >= 5
+        assert len(validate_calls) >= 5
         with pytest.raises(NotAPovmError):
             require_valid(bad.flipped())
 
@@ -131,15 +130,6 @@ class TestValidateOnce:
             povm = random_povm(2 + seed % 29, 600 + seed)
             assert validate(povm) == validate(povm.flipped())
 
-    def test_other_tolerance_runs_the_full_check(self, validate_calls):
-        # Passes at VALIDATION_ATOL, fails at 1e-13.
-        povm = require_valid(off_closure_pair(1e-11))
-        assert validate_calls == [VALIDATION_ATOL]
-        with pytest.raises(NotAPovmError):
-            require_valid(povm, atol=1e-13)
-        assert require_valid(povm, atol=1e-3) is povm
-        assert validate_calls == [VALIDATION_ATOL, 1e-13, 1e-3]
-
     def test_validate_returns_the_stored_report(self):
         povm = povm_from_dict(povm_to_dict(random_povm(9, 12)))
         stored = validate(povm)
@@ -147,20 +137,12 @@ class TestValidateOnce:
         fresh = validate(QubitPovm(povm.weights, povm.directions))
         assert fresh is not stored and fresh == stored
         assert validate(povm.flipped()) is stored
-        other = validate(povm, atol=1e-3)
-        assert other is not stored and other.atol == 1e-3
 
     def test_directly_built_povm_is_checked_afresh(self):
         povm = sic_povm()
         first, second = validate(povm), validate(povm)
         assert first is not second and first == second
         assert povm._validation is None
-
-    def test_looser_pass_is_not_recorded(self):
-        povm = require_valid(off_closure_pair(1e-6), atol=1e-3)
-        assert povm._validation is None
-        with pytest.raises(NotAPovmError):
-            require_valid(povm)
 
 
 class TestNoisyElement:
