@@ -89,12 +89,27 @@ def random_unit_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` directions uniform on the unit sphere, shape ``(n, 3)``.
 
     Built from uniform deviates only (z uniform in [-1, 1], azimuth uniform
-    in [0, 2pi)) so the stream is stable across numpy versions.
+    in [0, 2pi)) so the stream is stable across numpy versions.  The
+    columns are written in place; the trig runs on contiguous buffers.
     """
-    z = 2.0 * rng.random(n) - 1.0
-    phi = 2.0 * np.pi * rng.random(n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    out = np.empty((n, 3))
+    z = rng.random(n)
+    z *= 2.0
+    z -= 1.0
+    phi = rng.random(n)
+    phi *= 2.0 * np.pi
+    out[:, 2] = z
+    # r = sqrt(max(0, 1 - z z)) in z's buffer, each step the same operation
+    # on the same operands as the out-of-place expression, so the same bits.
+    r = np.multiply(z, z, out=z)
+    np.subtract(1.0, r, out=r)
+    np.maximum(0.0, r, out=r)
+    np.sqrt(r, out=r)
+    trig = np.cos(phi)
+    np.multiply(r, trig, out=out[:, 0])
+    np.sin(phi, out=trig)
+    np.multiply(r, trig, out=out[:, 1])
+    return out
 
 
 def orthonormal_frame(x_axis) -> np.ndarray:

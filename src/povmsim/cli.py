@@ -87,13 +87,12 @@ def _parse_vec(text: str) -> np.ndarray:
 
 
 def _rng_header(seed: int, n_samples: int, workers: int) -> dict:
-    from .jointmeas import _MC_CHUNK, _chunk_counts
+    from .jointmeas import _MC_CHUNK, _n_chunks
 
-    sizes, _ = _chunk_counts(n_samples, seed)
     return {
         "seed": seed,
         "chunk_size": _MC_CHUNK,
-        "n_chunks": len(sizes),
+        "n_chunks": _n_chunks(n_samples),
         "workers": workers,
         "policy": "seed-sequence spawn per fixed chunk; workers only schedule chunks",
     }

@@ -19,11 +19,17 @@ reconstruct every half-visibility outcome operator exactly:
 This module builds those tables, verifies the reconstruction, and simulates
 the whole protocol by Monte Carlo.  One engine serves both samplers, this
 module's :func:`simulate_statistics` and the Werner hidden-state model's
-``LhsModel.sample_counts``: Haar directions are drawn directly in frame
-coordinates (the inputs are rotated into the frame once), the octant comes
-from sign bits, and the table's outcomes are drawn with one multinomial per
-octant row, or per (octant, Bob outcome) cell.  The chunk layout is fixed by
-the seed, so counts do not depend on the worker count.
+``LhsModel.sample_counts``.  A run is cut into chunks of ``_MC_CHUNK``
+samples, each with its own generator spawned from the seed, so the counts
+do not depend on the worker count.  Each chunk makes its RNG calls in one
+fixed order, which pins the stream: the direction's ``z``, then its azimuth
+(Haar directions drawn directly in frame coordinates, the inputs rotated
+into the frame once), then the classifier's one uniform vector (the parent
+measurement's accept/flip, or Bob's inverse CDF), then one multinomial per
+octant row or (octant, Bob outcome) cell.  The classifier folds the octant,
+taken from sign bits, and the column into one cell code, so a chunk makes
+one ``bincount``.  Every buffer belongs to one chunk: the arrays are written
+in place, but none is kept between chunks or shared between threads.
 """
 
 from __future__ import annotations
@@ -187,12 +193,19 @@ def verify_decomposition(cpt: ConditionalProbabilityTable) -> DecompositionRepor
 # ---------------------------------------------------------------------------
 # Monte Carlo: one engine behind simulate_statistics and LhsModel.sample_counts.
 
-_OCTANT_BITS = np.array([4, 2, 1])
-
 
 def _octants(coords: np.ndarray) -> np.ndarray:
-    """Octant index of frame coordinates from their sign bits; zero counts as +."""
-    return (coords < 0) @ _OCTANT_BITS
+    """Octant index of frame coordinates from their sign bits; zero counts as +.
+
+    The index is ``4 [x < 0] + 2 [y < 0] + [z < 0]``, built by shifts and ORs.
+    """
+    negative = coords < 0
+    index = negative[..., 0].astype(np.intp)
+    index <<= 1
+    index |= negative[..., 1]
+    index <<= 1
+    index |= negative[..., 2]
+    return index
 
 
 def octant_index(rotation: np.ndarray, lam) -> int | np.ndarray:
@@ -204,13 +217,18 @@ def octant_index(rotation: np.ndarray, lam) -> int | np.ndarray:
     return int(index) if index.ndim == 0 else index
 
 
+def _n_chunks(total: int) -> int:
+    """Number of chunks of at most ``_MC_CHUNK`` samples in a run of ``total``."""
+    return max(1, -(-total // _MC_CHUNK)) if total else 0
+
+
 def _chunk_counts(total: int, seed: int):
     """Fixed chunk layout with one spawned RNG stream per chunk.
 
     The layout depends only on (total, seed), never on how many workers
     consume the chunks, so results are worker-count independent.
     """
-    n_chunks = max(1, -(-total // _MC_CHUNK)) if total else 0
+    n_chunks = _n_chunks(total)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks) if n_chunks else []
     sizes = [min(_MC_CHUNK, total - k * _MC_CHUNK) for k in range(n_chunks)]
     return sizes, seeds
@@ -239,19 +257,18 @@ def _sample_table(
     Each chunk draws its Haar directions directly in frame coordinates: the
     measure is rotation invariant, so callers rotate their inputs into the
     frame instead of rotating every sample.  ``classify(u, rng)`` maps the
-    directions to an octant row of ``table`` and a column below ``n_cols``.
-    The outcome depends on a direction only through its octant and uses its
-    own randomness, so the outcomes of each (octant, column) cell are one
-    exact multinomial draw from that octant's row.
+    directions to cell codes ``octant * n_cols + column``, an octant row of
+    ``table`` and a column below ``n_cols``.  The outcome depends on a
+    direction only through its octant and uses its own randomness, so the
+    outcomes of each (octant, column) cell are one exact multinomial draw
+    from that octant's row.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     rows = table[:, None, :]
 
     def sampler(m: int, rng: np.random.Generator) -> np.ndarray:
-        u = random_unit_vectors(m, rng)
-        octants, cols = classify(u, rng)
-        cells = np.bincount(octants * n_cols + cols, minlength=8 * n_cols)
+        cells = np.bincount(classify(random_unit_vectors(m, rng), rng), minlength=8 * n_cols)
         return rng.multinomial(cells.reshape(8, n_cols), rows).sum(axis=0).T
 
     sizes, seeds = _chunk_counts(n_samples, rng_seed)
@@ -294,9 +311,9 @@ def simulate_statistics(
     Each round measures the parent observable on the state (a Haar direction
     ``u`` accepted as ``+u`` or ``-u`` with the projective Born weights) and
     post-processes the result through the conditional table.  In frame
-    coordinates, accepting ``-u`` maps octant ``o`` to ``7 - o``.  Targets are
-    the Born probabilities of the half-visibility POVM.  ``workers`` below 1
-    raises ``ValueError``.
+    coordinates, accepting ``-u`` maps octant ``o`` to ``7 - o = o ^ 7``.
+    Targets are the Born probabilities of the half-visibility POVM.
+    ``workers`` below 1 raises ``ValueError``.
     """
     state = np.asarray(state_bloch, dtype=float)
     targets = born_probabilities(povm, state, eta=0.5)
@@ -305,10 +322,15 @@ def simulate_statistics(
     cpt = build_table(povm, frame)
     frame_state = state @ frame.rotation
 
-    def classify(u: np.ndarray, rng: np.random.Generator):
+    def classify(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        accept = u @ frame_state
+        accept += 1.0
+        accept *= 0.5
+        flip = rng.random(len(u)) >= accept
         octants = _octants(u)
-        flip = rng.random(len(u)) >= 0.5 * (1.0 + u @ frame_state)
-        return np.where(flip, 7 - octants, octants), 0
+        # o ^ 7 == 7 - o on 0..7; a uint8 mask is far cheaper than bool * 7.
+        octants ^= flip * np.uint8(7)
+        return octants
 
     counts = _sample_table(cpt.table, 1, classify, n_samples, rng_seed, workers).ravel()
     return SimulationReport(
@@ -318,5 +340,5 @@ def simulate_statistics(
         z=z_scores(counts, targets, n_samples),
         seed=rng_seed,
         chunk_size=_MC_CHUNK,
-        n_chunks=len(_chunk_counts(n_samples, rng_seed)[0]),
+        n_chunks=_n_chunks(n_samples),
     )

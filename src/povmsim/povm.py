@@ -42,7 +42,7 @@ class NotAPovmError(ValueError):
 
 
 class InvalidStateError(ValueError):
-    """Raised when a Bloch vector lies outside the unit ball."""
+    """Raised when a Bloch vector is non-finite or lies outside the unit ball."""
 
 
 class GenerationFailedError(RuntimeError):
@@ -177,19 +177,24 @@ def noisy_element(povm: QubitPovm, i: int, eta: float) -> PauliOperator:
     return PauliOperator(p / 2.0, eta * p * povm.directions[i] / 2.0)
 
 
-def born(element: PauliOperator, state_bloch) -> float:
-    """Outcome probability ``tr[E rho] = t + w . x`` for state ``(I + x.sigma)/2``."""
+def _bloch_state(state_bloch) -> np.ndarray:
+    """The state's Bloch vector; non-finite or outside the unit ball raises."""
     x = np.asarray(state_bloch, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidStateError(f"Bloch vector has non-finite components: {x.tolist()}")
     if np.linalg.norm(x) > 1.0 + VALIDATION_ATOL:
         raise InvalidStateError(f"Bloch vector has norm {np.linalg.norm(x)} > 1")
-    return float(element.t + element.w @ x)
+    return x
+
+
+def born(element: PauliOperator, state_bloch) -> float:
+    """Outcome probability ``tr[E rho] = t + w . x`` for state ``(I + x.sigma)/2``."""
+    return float(element.t + element.w @ _bloch_state(state_bloch))
 
 
 def born_probabilities(povm: QubitPovm, state_bloch, eta: float = 1.0) -> np.ndarray:
     """Born probabilities of all outcomes of the eta-depolarised POVM."""
-    x = np.asarray(state_bloch, dtype=float)
-    if np.linalg.norm(x) > 1.0 + VALIDATION_ATOL:
-        raise InvalidStateError(f"Bloch vector has norm {np.linalg.norm(x)} > 1")
+    x = _bloch_state(state_bloch)
     require_visibility(eta)
     return povm.weights / 2.0 * (1.0 + eta * povm.directions @ x)
 

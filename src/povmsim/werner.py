@@ -105,18 +105,29 @@ class LhsModel:
         into the frame once; the last entry is 1 and is left out.
         ``workers`` below 1 raises ``ValueError``.
         """
+        n_b = self.bob.n_outcomes
         half = self.bob.weights / 2.0
         bob_dirs = self.bob.directions @ self.frame.rotation
         cdf_const = np.cumsum(half)[:-1]
         cdf_lin = np.cumsum(half[:, None] * bob_dirs, axis=0)[:-1]
+        # Bob's outcome is the number of CDF entries at or below the uniform,
+        # summed as bytes against ones of the smallest type that holds n_b - 1.
+        ones = np.ones(n_b - 1, dtype=np.min_scalar_type(n_b - 1))
 
-        def classify(lam: np.ndarray, rng: np.random.Generator):
-            below = lam @ cdf_lin.T + cdf_const <= rng.random(len(lam))[:, None]
-            return _octants(lam), below.sum(axis=1)
+        def classify(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+            cdf = lam @ cdf_lin.T
+            cdf += cdf_const
+            below = cdf <= rng.random(len(lam))[:, None]
+            # Free the chunk's largest array before the codes are allocated:
+            # a smaller heap peak is not trimmed, so the next chunk's pages
+            # are reused, not faulted in afresh.
+            del cdf
+            code = _octants(lam)
+            code *= n_b
+            code += below.view(np.uint8) @ ones
+            return code
 
-        return _sample_table(
-            self.table.table, self.bob.n_outcomes, classify, n_samples, rng_seed, workers
-        )
+        return _sample_table(self.table.table, n_b, classify, n_samples, rng_seed, workers)
 
 
 def lhs_model(alice: QubitPovm, bob: QubitPovm) -> LhsModel:

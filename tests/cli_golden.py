@@ -72,14 +72,21 @@ def commands() -> list[list[str]]:
     """Every golden command line, with ``@name`` file placeholders."""
     out = [["random", str(n), "--seed", str(s)] for n, s in RANDOM_FILES.values()]
     out += [["verify", "-p", f"@{name}"] for name in FIXTURES + tuple(RANDOM_FILES)]
-    out += [
+    simulations = [
         ["simulate", "-p", f"@{name}", "--state", state, "-n", "200000", "--seed", str(k)]
         for k, (name, state) in enumerate(SIMULATIONS, start=1)
     ]
+    out += simulations
     out += [
         ["werner", "--alice", f"@{a}", "--bob", f"@{b}", "-n", "100000", "--seed", str(k)]
         for k, (a, b) in enumerate(WERNER_PAIRS, start=1)
     ]
+    # Multi-chunk runs on two workers, which share the chunks between
+    # threads; stdout equals the one-worker run's apart from the header.
+    werner_chunks = [
+        "werner", "--alice", "@trine.json", "--bob", "@r6s3", "-n", "300000", "--seed", "7"
+    ]
+    out += [[*simulations[0], "--workers", "2"], werner_chunks, [*werner_chunks, "--workers", "2"]]
     out += [["chsh", "--eta", eta] for eta in ("0.5", "0.7071067811865476", "1.0")]
     out += [["chsh", "--eta", "0.9", "--settings", "1,0,0;0,1,0;1,1,0;1,-1,0"]]
     return out

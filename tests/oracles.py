@@ -13,7 +13,12 @@ quantities along independent routes, so tests can compare the two:
   and ``random_rotations``, Haar-random rotations for seeded tests;
 * the coplanar bisection with a rotation and two ``projection_mass`` calls
   per step, which ``frames._find_frame_coplanar`` must match bit for bit;
-* the SIC any-frame bound probed at random points of radius sqrt(3).
+* the SIC any-frame bound probed at random points of radius sqrt(3);
+* the Monte Carlo engine as it was written before its in-place kernel (the
+  ``column_stack`` draw, ``(u < 0) @ bits`` octants, the ``np.where`` flip and
+  ``below.sum(axis=1)`` for Bob), chunk by chunk in order, which
+  ``simulate_statistics`` and ``LhsModel.sample_counts`` must match count for
+  count.
 """
 
 from dataclasses import dataclass
@@ -28,6 +33,7 @@ from povmsim.frames import (
     positive_part,
     projection_mass,
 )
+from povmsim.jointmeas import _MC_CHUNK, build_table
 from povmsim.povm import QubitPovm, projective_povm, require_visibility
 
 # |psi-> = (|01> - |10>) / sqrt(2), basis order |00>, |01>, |10>, |11>.
@@ -276,4 +282,65 @@ def check_sic_universal_frame(
         n_violations=int(np.sum(values > 1.0 + tolerance)),
         max_value=float(values.max()) if n_samples else 0.0,
         tolerance=tolerance,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo engine before its in-place kernel, chunk by chunk.
+
+_OCTANT_BITS = np.array([4, 2, 1])
+
+
+def unit_vectors_column_stack(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The out-of-place direction draw ``random_unit_vectors`` must match."""
+    z = 2.0 * rng.random(n) - 1.0
+    phi = 2.0 * np.pi * rng.random(n)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def octants_matmul(coords: np.ndarray) -> np.ndarray:
+    return (coords < 0) @ _OCTANT_BITS
+
+
+def _table_counts_serial(table, n_cols, classify, n_samples, rng_seed) -> np.ndarray:
+    n_chunks = max(1, -(-n_samples // _MC_CHUNK)) if n_samples else 0
+    seeds = np.random.SeedSequence(rng_seed).spawn(n_chunks) if n_chunks else []
+    counts = np.zeros((table.shape[1], n_cols), dtype=np.int64)
+    for k, ss in enumerate(seeds):
+        m = min(_MC_CHUNK, n_samples - k * _MC_CHUNK)
+        rng = np.random.default_rng(ss)
+        u = unit_vectors_column_stack(m, rng)
+        octants, cols = classify(u, rng)
+        cells = np.bincount(octants * n_cols + cols, minlength=8 * n_cols)
+        counts += rng.multinomial(cells.reshape(8, n_cols), table[:, None, :]).sum(axis=0).T
+    return counts
+
+
+def simulate_counts_reference(povm: QubitPovm, state, n_samples: int, rng_seed: int, frame):
+    """Outcome counts of ``simulate_statistics`` from the reference engine."""
+    cpt = build_table(povm, frame)
+    frame_state = np.asarray(state, dtype=float) @ frame.rotation
+
+    def classify(u, rng):
+        octants = octants_matmul(u)
+        flip = rng.random(len(u)) >= 0.5 * (1.0 + u @ frame_state)
+        return np.where(flip, 7 - octants, octants), 0
+
+    return _table_counts_serial(cpt.table, 1, classify, n_samples, rng_seed).ravel()
+
+
+def lhs_counts_reference(model, n_samples: int, rng_seed: int) -> np.ndarray:
+    """Joint counts of ``LhsModel.sample_counts`` from the reference engine."""
+    half = model.bob.weights / 2.0
+    bob_dirs = model.bob.directions @ model.frame.rotation
+    cdf_const = np.cumsum(half)[:-1]
+    cdf_lin = np.cumsum(half[:, None] * bob_dirs, axis=0)[:-1]
+
+    def classify(lam, rng):
+        below = lam @ cdf_lin.T + cdf_const <= rng.random(len(lam))[:, None]
+        return octants_matmul(lam), below.sum(axis=1)
+
+    return _table_counts_serial(
+        model.table.table, model.bob.n_outcomes, classify, n_samples, rng_seed
     )

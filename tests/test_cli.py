@@ -114,6 +114,16 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("state", ["nan,0,0", "0,nan,0.5", "inf,0,0"])
+    def test_non_finite_state_exits_2_in_process(self, state, capsys):
+        code = main(
+            ["simulate", "-p", str(fixture_path("sic.json")), "--state", state, "-n", "1000"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
 
 class TestWernerCommand:
     def test_projective_pair_exact_only(self, capsys):

@@ -201,6 +201,14 @@ class TestBorn:
         with pytest.raises(InvalidStateError):
             born(PauliOperator(0.5, np.zeros(3)), [1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("state", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.1, 0.0, -np.inf]])
+    def test_rejects_non_finite_state(self, state):
+        # A NaN norm compares False against the ball's bound; the check is explicit.
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            born(PauliOperator(0.5, np.zeros(3)), state)
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            born_probabilities(sic_povm(), state, eta=0.5)
+
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(5)
         for seed in range(20):
