@@ -25,9 +25,9 @@ print("SIC POVM outcomes (weight, direction):")
 for p, a in zip(povm.weights, povm.directions):
     print(f"  p={p:.3f}  a=({a[0]:+.3f}, {a[1]:+.3f}, {a[2]:+.3f})")
 
-# The identity rotation already certifies this POVM: all eight cube-vertex
-# values stay at or below 1.
-frame = find_frame(povm, hint=np.eye(3))
+# The identity rotation, tried first, already certifies this POVM: all
+# eight cube-vertex values stay at or below 1.
+frame = find_frame(povm)
 print(f"\nframe method: {frame.method.value}, max vertex value {frame.max_value:.3f}")
 print("vertex values:", np.array2string(frame.vertex_values, precision=3))
 print("noise weights:", np.array2string(noise_weights(povm, frame), precision=3))

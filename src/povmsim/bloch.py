@@ -39,7 +39,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
-_EYE3 = np.eye(3)
 
 
 class NotPositiveError(ValueError):
@@ -55,14 +54,33 @@ def _as_vec3(v) -> np.ndarray:
     return v
 
 
+def _det3(rows) -> float:
+    """Determinant of a 3x3 matrix given as nested lists, by cofactors of the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def is_rotation(mat) -> bool:
-    """True when ``mat`` is orthogonal with determinant +1 within ``ROUND_OFF``."""
+    """True when ``mat`` is orthogonal with determinant +1 within ``ROUND_OFF``.
+
+    Checks the six column dot products of ``mat^T mat = I`` and the
+    determinant in Python floats; a NaN or inf fails every comparison.
+    """
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         return False
-    (a, b, c), (d, e, f), (g, h, i) = mat.tolist()
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return bool(np.max(np.abs(mat.T @ mat - _EYE3)) <= ROUND_OFF) and abs(det - 1.0) <= ROUND_OFF
+    rows = mat.tolist()
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    residuals = (
+        a * a + d * d + g * g - 1.0,
+        b * b + e * e + h * h - 1.0,
+        c * c + f * f + i * i - 1.0,
+        a * b + d * e + g * h,
+        a * c + d * f + g * i,
+        b * c + e * f + h * i,
+        _det3(rows) - 1.0,
+    )
+    return all(abs(r) <= ROUND_OFF for r in residuals)
 
 
 def require_rotation(mat) -> np.ndarray:
@@ -128,8 +146,16 @@ def orthonormal_frame(x_axis) -> np.ndarray:
     e[int(np.argmin(np.abs(x)))] = 1.0
     y = e - (e @ x) * x
     y /= np.linalg.norm(y)
-    z = np.cross(x, y)
-    return np.column_stack([x, y, z])
+    # z = x cross y term by term, as np.cross evaluates it: two rounded
+    # products, then one subtraction, so the same bits.
+    (x0, x1, x2), (y0, y1, y2) = x.tolist(), y.tolist()
+    return np.array(
+        [
+            [x0, y0, x1 * y2 - x2 * y1],
+            [x1, y1, x2 * y0 - x0 * y2],
+            [x2, y2, x0 * y1 - x1 * y0],
+        ]
+    )
 
 
 @dataclass(frozen=True, eq=False)

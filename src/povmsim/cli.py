@@ -9,15 +9,17 @@ Subcommands::
     povmsim random  N --seed S --out FILE        generate a random POVM file
 
 Exit codes: 0 success, 1 verification/statistics failure, 2 parse or
-validation error, 3 internal numerical failure in frame certification.
-All stochastic paths are seeded, so a repeated invocation produces
-byte-identical output.
+validation error, 3 internal numerical failure: a frame that does not
+certify, or a non-finite value in a report (printed neither as JSON nor as
+CSV; stdout stays empty).  All stochastic paths are seeded, so a repeated
+invocation produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -32,7 +34,6 @@ from .povm import (
     load_povm,
     povm_to_dict,
     random_povm,
-    save_povm,
     validate,
 )
 from .stats import chi_squared_test
@@ -47,6 +48,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_FRAME = 3
+
+
+class NonFiniteOutputError(RuntimeError):
+    """A report holds a NaN or an infinity: an internal numerical failure."""
 
 
 def _fmt(value):
@@ -66,17 +71,36 @@ def _fmt(value):
     return value
 
 
-def _emit(report: dict, csv_rows, args) -> None:
-    if args.format == "csv":
-        text = "\n".join(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row) for row in csv_rows)
-        text += "\n"
-    else:
-        text = json.dumps(_fmt(report), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _json(document) -> str:
+    """Strict JSON text: a NaN or an infinity raises ``NonFiniteOutputError``."""
+    try:
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteOutputError(f"report holds a non-finite value ({exc})") from None
+
+
+def _csv_field(x) -> str:
+    if not isinstance(x, float):
+        return str(x)
+    if not math.isfinite(x):
+        raise NonFiniteOutputError(f"report holds a non-finite value ({x})")
+    return f"{x:.12g}"
+
+
+def _write(text: str, out) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: dict, csv_rows, args) -> None:
+    if args.format == "csv":
+        text = "\n".join(",".join(_csv_field(x) for x in row) for row in csv_rows) + "\n"
+    else:
+        text = _json(_fmt(report))
+    _write(text, args.out)
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -211,10 +235,7 @@ def cmd_chsh(args) -> int:
 
 def cmd_random(args) -> int:
     povm = random_povm(args.n_outcomes, args.seed)
-    if args.out:
-        save_povm(povm, args.out)
-    else:
-        sys.stdout.write(json.dumps(povm_to_dict(povm), indent=2, sort_keys=True) + "\n")
+    _write(_json(povm_to_dict(povm)), args.out)
     return EXIT_OK
 
 
@@ -299,7 +320,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
         return args.func(args)
-    except FrameNotFoundError as exc:
+    except (FrameNotFoundError, NonFiniteOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FRAME
     except (ValueError, GenerationFailedError, OSError) as exc:

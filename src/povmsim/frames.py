@@ -34,14 +34,21 @@ the round-off of ``eigh`` the total stays below ``FRAME_ATOL = 1e-9``, the
 slack every certificate is checked against.
 
 :func:`find_frame` keeps three routes: an exact frame for two outcomes, an
-in-plane bisection for coplanar directions, and, in general, the hint, the
-identity or the eigenframe of ``M``, whichever certifies first.
+in-plane bisection for coplanar directions, and, in general, the identity
+or the eigenframe of ``M``, whichever certifies first.
 
 A bisection step at angle ``t`` needs two vertices, ``(c - s, c + s, 1)`` and
-``(c + s, s - c, 1)`` in start-frame coordinates (``c, s = cos t, sin t``):
-one ``2 x 3`` product with the directions, transformed once.  Within
-``_GAP_BAND`` of an exit threshold a step is re-evaluated per vertex, so every
-output bit is that of the per-vertex bisection in ``tests/oracles.py``.
+``(c + s, s - c, 1)`` in start-frame coordinates (``c, s = cos t, sin t``).
+The step is scalar: it loops in Python floats over one ``(x, y, z, p)``
+tuple per outcome, the directions transformed into the start frame once per
+call.  Its gap differs from the per-vertex one by round-off only, far inside
+``_GAP_BAND``; within that band of an exit threshold a step is re-evaluated
+per vertex.  So every exit and sign decision, and every output bit, is that
+of the per-vertex bisection in ``tests/oracles.py``.  The loop is linear in
+``n`` in Python: faster than a numpy step for the few outcomes coplanar
+POVMs have in practice, even at 30, slower beyond (measured on 2 cores,
+numpy 2.4: ``find_frame`` at 3 to 4 coplanar outcomes takes about 0.11 ms
+against 0.27 ms with a numpy step, at 60 about 0.42 ms against 0.28 ms).
 Each certificate carries its POVM and ``8 x n`` matrix ``max(v_s . a_i, 0)``.
 """
 
@@ -53,7 +60,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import FRAME_ATOL, orthonormal_frame, require_rotation, rotation_from_euler_zyz
+from .bloch import FRAME_ATOL, _det3, orthonormal_frame, require_rotation, rotation_from_euler_zyz
 from .povm import QubitPovm, require_valid
 
 # Smallest singular value of the direction matrix below which the POVM is
@@ -162,15 +169,19 @@ def evaluate_frame(
     With ``check`` enabled the rotation must actually certify, i.e. have
     ``max_value <= 1 + FRAME_ATOL``.
     """
-    cube = CubeVertices.from_rotation(rotation)
-    projections = positive_part(cube.vertices @ povm.directions.T)
+    cert = _certificate(povm, CubeVertices.from_rotation(rotation), method)
+    if check and cert.max_value > 1.0 + FRAME_ATOL:
+        raise ValueError(f"rotation does not certify: max vertex value {cert.max_value}")
+    return cert
+
+
+def _certificate(povm: QubitPovm, cube: CubeVertices, method: FrameMethod) -> FrameCertificate:
+    projections = cube.vertices @ povm.directions.T
+    np.maximum(projections, 0.0, out=projections)
     values = projections @ povm.weights
     projections.setflags(write=False)
     values.setflags(write=False)
-    max_value = float(values.max())
-    if check and max_value > 1.0 + FRAME_ATOL:
-        raise ValueError(f"rotation does not certify: max vertex value {max_value}")
-    return FrameCertificate(cube, values, max_value, method, povm, projections)
+    return FrameCertificate(cube, values, float(values.max()), method, povm, projections)
 
 
 def _second_moment_frame(povm: QubitPovm) -> np.ndarray:
@@ -184,31 +195,42 @@ def _second_moment_frame(povm: QubitPovm) -> np.ndarray:
     _, vecs = np.linalg.eigh((d.T * povm.weights) @ d)
     pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(3)]
     vecs = vecs * np.where(pivots < 0, -1.0, 1.0)
-    if np.linalg.det(vecs) < 0:
+    if _det3(vecs.tolist()) < 0:
         vecs[:, 2] = -vecs[:, 2]
     return vecs
 
 
-# The identity as the zero z-y-z Euler rotation, which carries -0.0 at
-# [0, 1] and [2, 0].  Certificates print those signed zeros, so seeded
-# `verify` output depends on this exact matrix, not just on its values.
-_IDENTITY = rotation_from_euler_zyz(0.0, 0.0, 0.0)
+# The identity cube, built and checked once.  Its rotation is the zero
+# z-y-z Euler rotation, which carries -0.0 at [0, 1] and [2, 0].
+# Certificates print those signed zeros, so seeded `verify` output depends
+# on this exact matrix, not just on its values.
+_IDENTITY_CUBE = CubeVertices.from_rotation(rotation_from_euler_zyz(0.0, 0.0, 0.0))
 
 
-def _find_frame_minimax(povm: QubitPovm, hint) -> FrameCertificate:
-    for rotation in (hint, _IDENTITY):
-        if rotation is not None:
-            cert = evaluate_frame(povm, rotation, FrameMethod.MINIMAX_SEARCH, check=False)
-            if cert.max_value <= 1.0 + FRAME_ATOL:
-                return cert
+def _find_frame_minimax(povm: QubitPovm) -> FrameCertificate:
+    cert = _certificate(povm, _IDENTITY_CUBE, FrameMethod.MINIMAX_SEARCH)
+    if cert.max_value <= 1.0 + FRAME_ATOL:
+        return cert
     return evaluate_frame(povm, _second_moment_frame(povm), FrameMethod.MINIMAX_SEARCH, check=False)
 
 
-def _vertex_gap(coords: np.ndarray, weights: np.ndarray, angle: float) -> float:
-    """Gap between the two vertex classes; ``coords`` are start-frame directions as columns."""
+def _vertex_gap(outcomes, angle: float) -> float:
+    """Gap between the two vertex classes at ``angle``.
+
+    ``outcomes`` holds one ``(x, y, z, p)`` tuple per outcome: its direction
+    in start-frame coordinates and its weight.
+    """
     c, s = math.cos(angle), math.sin(angle)
-    pair = positive_part(np.array([[c - s, c + s, 1.0], [c + s, s - c, 1.0]]) @ coords) @ weights
-    c1, c2 = pair.tolist()
+    u, v = c - s, c + s
+    c1 = c2 = 0.0
+    for x, y, z, p in outcomes:
+        # Vertices (c - s, c + s, 1) and (c + s, s - c, 1); s - c is -u exactly.
+        d1 = u * x + v * y + z
+        d2 = v * x - u * y + z
+        if d1 > 0.0:
+            c1 += p * d1
+        if d2 > 0.0:
+            c2 += p * d2
     return c1 - c2
 
 
@@ -219,16 +241,15 @@ def _find_frame_coplanar(povm: QubitPovm) -> FrameCertificate:
     normal = vt[2]
     if normal[np.argmax(np.abs(normal))] < 0:
         normal = -normal
-    base = orthonormal_frame(normal)
-    frame0 = np.column_stack([base[:, 1], base[:, 2], base[:, 0]])
-    coords = frame0.T @ povm.directions.T
+    frame0 = orthonormal_frame(normal)[:, [1, 2, 0]]
+    outcomes = list(zip(*(frame0.T @ povm.directions.T).tolist(), povm.weights.tolist()))
 
     def rotation_at(angle: float) -> np.ndarray:
         c, s = np.cos(angle), np.sin(angle)
         return frame0 @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
     def gap_at(angle: float, exit_gap: float) -> float:
-        gap = _vertex_gap(coords, povm.weights, angle)
+        gap = _vertex_gap(outcomes, angle)
         if abs(abs(gap) - exit_gap) <= _GAP_BAND:
             rot = rotation_at(angle)
             c1, c2 = (projection_mass(povm, rot @ [1.0, sign, 1.0]) for sign in (1.0, -1.0))
@@ -257,7 +278,7 @@ def _find_frame_coplanar(povm: QubitPovm) -> FrameCertificate:
     )
 
 
-def find_frame(povm: QubitPovm, hint=None) -> FrameCertificate:
+def find_frame(povm: QubitPovm) -> FrameCertificate:
     """Certify a coordinate frame with all eight vertex values at most 1.
 
     Dispatch:
@@ -266,11 +287,10 @@ def find_frame(povm: QubitPovm, hint=None) -> FrameCertificate:
       values equal 1 exactly.
     * coplanar directions (every 3-outcome POVM in particular): z axis
       normal to the plane, bisection over the in-plane angle.
-    * general: ``hint`` (a rotation), then the identity, then the eigenframe
-      of ``M = sum_i p_i a_i a_i^T``; the first that certifies is returned.
-      The eigenframe always certifies (see the module docstring).  Trying
-      the hint and the identity first returns a certifying hint unchanged
-      and keeps the standard basis wherever it certifies.
+    * general: the identity, then the eigenframe of ``M = sum_i p_i a_i
+      a_i^T``; the first that certifies is returned.  The eigenframe always
+      certifies (see the module docstring).  Trying the identity first
+      keeps the standard basis wherever it certifies.
 
     Every route ends in the same check on all eight re-evaluated vertex
     values.  Raises :class:`FrameNotFoundError` if it fails, which signals
@@ -283,7 +303,7 @@ def find_frame(povm: QubitPovm, hint=None) -> FrameCertificate:
     elif np.linalg.svd(povm.directions, compute_uv=False)[-1] < COPLANAR_SVAL:
         cert = _find_frame_coplanar(povm)
     else:
-        cert = _find_frame_minimax(povm, hint)
+        cert = _find_frame_minimax(povm)
     if cert.max_value > 1.0 + FRAME_ATOL:
         raise FrameNotFoundError(
             f"{cert.method.value} frame does not certify: max vertex value {cert.max_value}"

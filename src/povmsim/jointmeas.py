@@ -122,14 +122,18 @@ def build_table(povm: QubitPovm, frame: FrameCertificate) -> ConditionalProbabil
         # normalises and the noise term would be 0/0.
         table = deterministic.copy()
     else:
-        table = deterministic + np.outer(1.0 - vertex_mass, alphas / alpha_sum)
+        table = (1.0 - vertex_mass)[:, None] * (alphas / alpha_sum)
+        table += deterministic
     # Entries within FRAME_ATOL outside [0, 1], possible when the frame sits
-    # at its acceptance tolerance, are clamped into [0, 1].
-    if table.min() < -FRAME_ATOL or table.max() > 1.0 + FRAME_ATOL:
+    # at its acceptance tolerance, are clamped into [0, 1].  A table inside
+    # [0, 1] is left as it is, as np.clip would leave it.
+    low, high = table.min(), table.max()
+    if low < -FRAME_ATOL or high > 1.0 + FRAME_ATOL:
         raise InvalidFrameError("conditional probabilities escape [0, 1] beyond tolerance")
-    np.clip(table, 0.0, 1.0, out=table)
+    if low < 0.0 or high > 1.0:
+        np.clip(table, 0.0, 1.0, out=table)
     row_sums = table.sum(axis=1)
-    renorm_residual = float(np.max(np.abs(row_sums - 1.0)))
+    renorm_residual = float(np.abs(row_sums - 1.0).max())
     table /= row_sums[:, None]
     table.setflags(write=False)
     alphas.setflags(write=False)
@@ -169,19 +173,19 @@ def verify_decomposition(cpt: ConditionalProbabilityTable) -> DecompositionRepor
     target_w = povm.weights[:, None] * povm.directions / 4.0
     residuals = np.maximum(
         np.abs(recon_t - target_t),
-        np.max(np.abs(recon_w - target_w), axis=1),
+        np.abs(recon_w - target_w).max(axis=1),
     )
     deterministic = frame.projections * povm.weights
     det_t = deterministic.sum(axis=0) / 8.0
     det_w = deterministic.T @ vertices / 16.0
     det_res = np.maximum(
         np.abs(det_t - (target_t - cpt.alphas)),
-        np.max(np.abs(det_w - target_w), axis=1),
+        np.abs(det_w - target_w).max(axis=1),
     )
     noise = table - deterministic
     noise_t = noise.sum(axis=0) / 8.0
     noise_w = noise.T @ vertices / 16.0
-    noise_res = np.maximum(np.abs(noise_t - cpt.alphas), np.max(np.abs(noise_w), axis=1))
+    noise_res = np.maximum(np.abs(noise_t - cpt.alphas), np.abs(noise_w).max(axis=1))
     return DecompositionReport(
         per_outcome=residuals,
         max_residual=float(residuals.max()),

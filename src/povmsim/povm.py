@@ -130,14 +130,16 @@ def validate(povm: QubitPovm) -> PovmValidation:
     if povm._validation is not None:
         return povm._validation
     w, d = povm.weights, povm.directions
-    live = w > 0
-    norms = np.linalg.norm(d[live], axis=1) if np.any(live) else np.zeros(0)
+    live = d[w > 0]
+    # The reductions np.linalg.norm evaluates for these shapes, without its wrapper.
+    norms = np.sqrt(np.add.reduce(live * live, axis=1))
+    closure = w @ d
     return PovmValidation(
-        weights_nonnegative=bool(np.all(w >= 0)),
+        weights_nonnegative=bool((w >= 0).all()),
         min_weight=float(w.min()) if w.size else 0.0,
-        unit_norm_residual=float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0,
+        unit_norm_residual=float(np.abs(norms - 1.0).max()) if norms.size else 0.0,
         weight_sum_residual=abs(float(w.sum()) - 2.0),
-        closure_residual=float(np.linalg.norm(w @ d)),
+        closure_residual=float(np.sqrt(closure.dot(closure))),
     )
 
 
@@ -317,8 +319,8 @@ def povm_from_dict(data: dict) -> QubitPovm:
         raise NotAPovmError("each outcome direction must be a 3-vector")
     keep = weights >= ROUND_OFF
     weights, directions = weights[keep], directions[keep]
-    norms = np.linalg.norm(directions, axis=1)
-    if np.any(norms == 0):
+    norms = np.sqrt(np.add.reduce(directions * directions, axis=1))
+    if (norms == 0).any():
         raise NotAPovmError("outcome with nonzero weight has a zero direction")
     return require_valid(QubitPovm(weights, directions / norms[:, None]))
 

@@ -14,6 +14,10 @@ quantities along independent routes, so tests can compare the two:
 * the coplanar bisection with a rotation and two ``projection_mass`` calls
   per step, which ``frames._find_frame_coplanar`` must match bit for bit;
 * the SIC any-frame bound probed at random points of radius sqrt(3);
+* the numpy forms of three certify kernels that production evaluates in
+  Python floats or bare reductions: ``orthonormal_frame`` with
+  ``np.cross`` and ``np.column_stack``, ``is_rotation`` with ``mat.T @ mat``,
+  and ``validate`` with ``np.linalg.norm``;
 * the Monte Carlo engine as it was written before its in-place kernel (the
   ``column_stack`` draw, ``(u < 0) @ bits`` octants, the ``np.where`` flip and
   ``below.sum(axis=1)`` for Bob), chunk by chunk in order, which
@@ -25,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmsim.bloch import PauliOperator, orthonormal_frame, random_unit_vectors, to_dense
+from povmsim.bloch import (
+    ROUND_OFF,
+    PauliOperator,
+    orthonormal_frame,
+    random_unit_vectors,
+    to_dense,
+)
 from povmsim.frames import (
     OCTANT_SIGNS,
     CubeVertices,
@@ -34,7 +44,7 @@ from povmsim.frames import (
     projection_mass,
 )
 from povmsim.jointmeas import _MC_CHUNK, build_table
-from povmsim.povm import QubitPovm, projective_povm, require_visibility
+from povmsim.povm import PovmValidation, QubitPovm, projective_povm, require_visibility
 
 # |psi-> = (|01> - |10>) / sqrt(2), basis order |00>, |01>, |10>, |11>.
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -240,6 +250,45 @@ def coplanar_bisection_rotation(povm: QubitPovm) -> np.ndarray:
         else:
             hi = mid
     return rotation_at(0.5 * (lo + hi))
+
+
+# ---------------------------------------------------------------------------
+# Certify kernels in their numpy form.
+
+
+def orthonormal_frame_numpy(x_axis) -> np.ndarray:
+    """``orthonormal_frame`` completed with ``np.cross`` and ``np.column_stack``."""
+    x = np.asarray(x_axis, dtype=float)
+    x = x / np.linalg.norm(x)
+    e = np.zeros(3)
+    e[int(np.argmin(np.abs(x)))] = 1.0
+    y = e - (e @ x) * x
+    y /= np.linalg.norm(y)
+    return np.column_stack([x, y, np.cross(x, y)])
+
+
+def is_rotation_numpy(mat) -> bool:
+    """``is_rotation`` with the orthogonality residual taken from ``mat.T @ mat``."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape != (3, 3):
+        return False
+    (a, b, c), (d, e, f), (g, h, i) = mat.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return bool(np.max(np.abs(mat.T @ mat - np.eye(3))) <= ROUND_OFF) and abs(det - 1.0) <= ROUND_OFF
+
+
+def validate_numpy(povm: QubitPovm) -> PovmValidation:
+    """``validate`` with its norms taken by ``np.linalg.norm``."""
+    w, d = povm.weights, povm.directions
+    live = w > 0
+    norms = np.linalg.norm(d[live], axis=1) if np.any(live) else np.zeros(0)
+    return PovmValidation(
+        weights_nonnegative=bool(np.all(w >= 0)),
+        min_weight=float(w.min()) if w.size else 0.0,
+        unit_norm_residual=float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0,
+        weight_sum_residual=abs(float(w.sum()) - 2.0),
+        closure_residual=float(np.linalg.norm(w @ d)),
+    )
 
 
 # The tetrahedral (SIC) POVM: every frame certifies, since M = (2/3) I.

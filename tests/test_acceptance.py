@@ -105,7 +105,7 @@ SIC_CONDITIONAL_TABLE = np.array(
 def test_criterion_01_sic_golden_tables():
     with criterion("1 SIC golden tables", budget=1.0):
         povm = sic_povm()
-        frame = find_frame(povm, hint=np.eye(3))
+        frame = find_frame(povm)
         np.testing.assert_array_equal(frame.rotation, np.eye(3))
         np.testing.assert_allclose(frame.vertex_values, SIC_VERTEX_VALUES, atol=1e-3)
         assert float(frame.vertex_values.sum()) == pytest.approx(7.152, abs=1e-3)

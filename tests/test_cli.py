@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from povmsim import frames
+from povmsim import cli, frames
 from povmsim.bloch import rotation_from_euler_zyz
 from povmsim.cli import EXIT_FRAME, main
 from povmsim.povm import fixture_path, load_povm
@@ -260,3 +260,25 @@ class TestRandomCommand:
         main(["random", "5", "--seed", "11", "--out", str(f1)])
         main(["random", "5", "--seed", "11", "--out", str(f2)])
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestStrictOutput:
+    """A NaN or an infinity in a report is an internal failure: exit 3, nothing printed."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nan_in_report_exits_3(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(cli, "chsh_value", lambda *args: float("nan"))
+        code = main(["chsh", "--eta", "0.5", "--format", fmt])
+        assert code == EXIT_FRAME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "non-finite" in captured.err
+
+    def test_inf_in_random_document_writes_nothing(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(cli, "povm_to_dict", lambda povm: {"outcomes": [{"p": float("inf")}]})
+        out = tmp_path / "random.json"
+        assert main(["random", "4", "--seed", "7", "--out", str(out)]) == EXIT_FRAME
+        assert not out.exists()
+        assert main(["random", "4", "--seed", "7"]) == EXIT_FRAME
+        assert capsys.readouterr().out == ""

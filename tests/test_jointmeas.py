@@ -27,7 +27,7 @@ from povmsim.stats import chi_squared_test
 @pytest.fixture(scope="module")
 def sic_frame():
     povm = sic_povm()
-    return povm, find_frame(povm, hint=np.eye(3))
+    return povm, find_frame(povm)
 
 
 class TestOctantOperators:
