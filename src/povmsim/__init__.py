@@ -62,7 +62,6 @@ from .povm import (
     povm_to_dict,
     projective_povm,
     random_povm,
-    save_povm,
     sic_povm,
     trine_povm,
     validate,

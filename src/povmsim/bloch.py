@@ -107,14 +107,23 @@ def random_unit_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` directions uniform on the unit sphere, shape ``(n, 3)``.
 
     Built from uniform deviates only (z uniform in [-1, 1], azimuth uniform
-    in [0, 2pi)) so the stream is stable across numpy versions.  The
-    columns are written in place; the trig runs on contiguous buffers.
+    in [0, 2pi)) so the stream is stable across numpy versions: ``n``
+    uniforms for ``z``, then ``n`` for the azimuth.
     """
     out = np.empty((n, 3))
     z = rng.random(n)
+    _directions(z, rng.random(n), out)
+    return out
+
+
+def _directions(z: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with the directions of uniforms ``z`` and ``phi`` in [0, 1).
+
+    Overwrites ``z`` and ``phi``.  The columns are written in place; the
+    trig runs on contiguous buffers.
+    """
     z *= 2.0
     z -= 1.0
-    phi = rng.random(n)
     phi *= 2.0 * np.pi
     out[:, 2] = z
     # r = sqrt(max(0, 1 - z z)) in z's buffer, each step the same operation
@@ -127,7 +136,6 @@ def random_unit_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
     np.multiply(r, trig, out=out[:, 0])
     np.sin(phi, out=trig)
     np.multiply(r, trig, out=out[:, 1])
-    return out
 
 
 def orthonormal_frame(x_axis) -> np.ndarray:

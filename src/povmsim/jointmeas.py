@@ -20,16 +20,21 @@ This module builds those tables, verifies the reconstruction, and simulates
 the whole protocol by Monte Carlo.  One engine serves both samplers, this
 module's :func:`simulate_statistics` and the Werner hidden-state model's
 ``LhsModel.sample_counts``.  A run is cut into chunks of ``_MC_CHUNK``
-samples, each with its own generator spawned from the seed, so the counts
-do not depend on the worker count.  Each chunk makes its RNG calls in one
-fixed order, which pins the stream: the direction's ``z``, then its azimuth
-(Haar directions drawn directly in frame coordinates, the inputs rotated
-into the frame once), then the classifier's one uniform vector (the parent
-measurement's accept/flip, or Bob's inverse CDF), then one multinomial per
-octant row or (octant, Bob outcome) cell.  The classifier folds the octant,
-taken from sign bits, and the column into one cell code, so a chunk makes
-one ``bincount``.  Every buffer belongs to one chunk: the arrays are written
-in place, but none is kept between chunks or shared between threads.
+samples, each with its own PCG64 stream spawned from the seed, so the
+counts do not depend on the worker count.  A chunk of ``m`` samples reads
+its stream at fixed offsets, one double per output: ``[0, m)`` are the
+directions' ``z`` and ``[m, 2m)`` their azimuths (Haar directions drawn
+directly in frame coordinates, the inputs rotated into the frame once),
+``[2m, 3m)`` the classifier's one uniform per sample (the parent
+measurement's accept/flip, or Bob's inverse CDF), and from ``3m`` on one
+multinomial per octant row or (octant, Bob outcome) cell.  So the chunk
+runs in blocks of ``_MC_BLOCK`` samples, reading each block's slice of
+the first three ranges, and its counts equal one pass over the whole chunk.
+The classifier folds the octant, taken from sign bits, and the column into
+one cell code, so a block makes one ``bincount``.  Every buffer belongs to
+one chunk and holds one block: engine memory is O(block x workers), not
+O(chunk x workers x Bob outcomes).  No buffer is kept between chunks or
+shared between threads.
 """
 
 from __future__ import annotations
@@ -39,12 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import FRAME_ATOL, ROUND_OFF, VALIDATION_ATOL, PauliOperator, random_unit_vectors
+from .bloch import FRAME_ATOL, ROUND_OFF, VALIDATION_ATOL, PauliOperator, _directions
 from .frames import OCTANT_SIGNS, FrameCertificate, find_frame
 from .povm import QubitPovm, born_probabilities
 from .stats import z_scores
 
 _MC_CHUNK = 1 << 17
+_MC_BLOCK = 1 << 13
 
 
 class InvalidFrameError(ValueError):
@@ -242,7 +248,7 @@ def _run_chunks(sampler, sizes, seeds, workers: int, shape) -> np.ndarray:
     counts = np.zeros(shape, dtype=np.int64)
     if not sizes:
         return counts
-    jobs = [(m, np.random.default_rng(ss)) for m, ss in zip(sizes, seeds)]
+    jobs = zip(sizes, seeds)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(lambda job: sampler(*job), jobs):
@@ -260,20 +266,37 @@ def _sample_table(
 
     Each chunk draws its Haar directions directly in frame coordinates: the
     measure is rotation invariant, so callers rotate their inputs into the
-    frame instead of rotating every sample.  ``classify(u, rng)`` maps the
-    directions to cell codes ``octant * n_cols + column``, an octant row of
-    ``table`` and a column below ``n_cols``.  The outcome depends on a
-    direction only through its octant and uses its own randomness, so the
-    outcomes of each (octant, column) cell are one exact multinomial draw
-    from that octant's row.
+    frame instead of rotating every sample.  ``classify(uniforms,
+    directions)`` maps the directions and one uniform per direction to cell
+    codes ``octant * n_cols + column``, an octant row of ``table`` and a
+    column below ``n_cols``.  The outcome depends on a direction only
+    through its octant and uses its own randomness, so the outcomes of each
+    (octant, column) cell are one exact multinomial draw from that octant's
+    row.
+
+    A chunk of ``m`` samples reads its PCG64 stream at fixed offsets: the
+    ``z`` at ``[0, m)``, azimuths at ``[m, 2m)``, uniforms at ``[2m, 3m)``
+    and multinomials from ``3m``.  So it runs in blocks of ``_MC_BLOCK``
+    samples, with one block's arrays and the counts of one whole pass.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     rows = table[:, None, :]
 
-    def sampler(m: int, rng: np.random.Generator) -> np.ndarray:
-        cells = np.bincount(classify(random_unit_vectors(m, rng), rng), minlength=8 * n_cols)
-        return rng.multinomial(cells.reshape(8, n_cols), rows).sum(axis=0).T
+    def sampler(m: int, ss: np.random.SeedSequence) -> np.ndarray:
+        z_rng, phi_rng, u_rng, multinomial_rng = (
+            np.random.Generator(np.random.PCG64(ss).advance(k * m)) for k in range(4)
+        )
+        size = min(m, _MC_BLOCK)
+        z, phi, uniforms = np.empty(size), np.empty(size), np.empty(size)
+        directions = np.empty((size, 3))
+        cells = np.zeros(8 * n_cols, dtype=np.intp)
+        for start in range(0, m, _MC_BLOCK):
+            b = min(_MC_BLOCK, m - start)
+            _directions(z_rng.random(out=z[:b]), phi_rng.random(out=phi[:b]), directions[:b])
+            codes = classify(u_rng.random(out=uniforms[:b]), directions[:b])
+            cells += np.bincount(codes, minlength=8 * n_cols)
+        return multinomial_rng.multinomial(cells.reshape(8, n_cols), rows).sum(axis=0).T
 
     sizes, seeds = _chunk_counts(n_samples, rng_seed)
     return _run_chunks(sampler, sizes, seeds, workers, (table.shape[1], n_cols))
@@ -326,11 +349,11 @@ def simulate_statistics(
     cpt = build_table(povm, frame)
     frame_state = state @ frame.rotation
 
-    def classify(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def classify(uniforms: np.ndarray, u: np.ndarray) -> np.ndarray:
         accept = u @ frame_state
         accept += 1.0
         accept *= 0.5
-        flip = rng.random(len(u)) >= accept
+        flip = uniforms >= accept
         octants = _octants(u)
         # o ^ 7 == 7 - o on 0..7; a uint8 mask is far cheaper than bool * 7.
         octants ^= flip * np.uint8(7)

@@ -334,12 +334,6 @@ def load_povm(path) -> QubitPovm:
     return povm_from_dict(data)
 
 
-def save_povm(povm: QubitPovm, path) -> None:
-    Path(path).write_text(
-        json.dumps(povm_to_dict(povm), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def fixture_path(name: str) -> Path:
     """Path of a bundled POVM file (projective_z.json, trine.json, sic.json)."""
     return Path(str(resources.files("povmsim").joinpath("fixtures", name)))

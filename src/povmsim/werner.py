@@ -114,14 +114,10 @@ class LhsModel:
         # summed as bytes against ones of the smallest type that holds n_b - 1.
         ones = np.ones(n_b - 1, dtype=np.min_scalar_type(n_b - 1))
 
-        def classify(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        def classify(uniforms: np.ndarray, lam: np.ndarray) -> np.ndarray:
             cdf = lam @ cdf_lin.T
             cdf += cdf_const
-            below = cdf <= rng.random(len(lam))[:, None]
-            # Free the chunk's largest array before the codes are allocated:
-            # a smaller heap peak is not trimmed, so the next chunk's pages
-            # are reused, not faulted in afresh.
-            del cdf
+            below = cdf <= uniforms[:, None]
             code = _octants(lam)
             code *= n_b
             code += below.view(np.uint8) @ ones
@@ -179,13 +175,17 @@ def chsh_correlator(u, v, eta: float) -> float:
 
 
 def chsh_value(a, a_prime, b, b_prime, eta: float) -> float:
-    """CHSH combination |E(a,b) + E(a,b') + E(a',b) - E(a',b')| at visibility eta."""
-    return abs(
-        chsh_correlator(a, b, eta)
-        + chsh_correlator(a, b_prime, eta)
-        + chsh_correlator(a_prime, b, eta)
-        - chsh_correlator(a_prime, b_prime, eta)
+    """CHSH combination |E(a,b) + E(a,b') + E(a',b) - E(a',b')| at visibility eta.
+
+    Each setting and ``eta`` is checked once, as :func:`chsh_correlator`
+    checks them, and each term is its ``-eta u . v``.
+    """
+    a, a_prime, b, b_prime = (_unit_setting(x) for x in (a, a_prime, b, b_prime))
+    eta = require_visibility(eta)
+    ab, ab_prime, a_prime_b, a_prime_b_prime = (
+        -eta * float(u @ v) for u, v in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
     )
+    return abs(ab + ab_prime + a_prime_b - a_prime_b_prime)
 
 
 def chsh_optimal_settings() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

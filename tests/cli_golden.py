@@ -1,9 +1,11 @@
 """Golden seeded CLI output: the command set, its replay, and regeneration.
 
-Every command runs in-process through ``povmsim.cli.main``; its stdout and
-exit code are compared byte for byte with ``tests/golden/cli.json``.  An
-argument ``@name`` stands for a file path: a bundled fixture, or one of the
-``RANDOM_FILES`` written first with ``povmsim random N --seed S --out``.
+Every command runs in-process through ``povmsim.cli.main``; its exit code,
+stdout and first stderr line are compared byte for byte with
+``tests/golden/cli.json``.  An argument ``@name`` stands for a file path: a
+bundled fixture, one of the ``RANDOM_FILES`` written first with ``povmsim
+random N --seed S --out``, or one of the ``BAD_FILES``; in stderr the path
+reads as its placeholder again.  The ``FAILURES`` pin the error exits.
 
 The bytes depend on the numpy and BLAS build, so the golden file records
 the Python and numpy versions it was generated with.
@@ -45,6 +47,23 @@ RANDOM_FILES = {
     "r12s2": (12, 2),
     "r16s3": (16, 3),
 }
+
+# name -> document; neither loads as a POVM.
+BAD_FILES = {
+    "malformed.json": '{"outcomes": [',
+    "invalid.json": '{"outcomes": [{"p": 1.0, "a": [0, 0, 1]}]}',
+}
+
+# Each exits 2 with empty stdout and one stderr line.
+FAILURES = (
+    ["simulate", "-p", "@sic.json", "--state", "2,0,0"],
+    ["simulate", "-p", "@sic.json", "--state", "nan,0,0"],
+    ["verify", "-p", "@malformed.json"],
+    ["verify", "-p", "@invalid.json"],
+    ["simulate", "-p", "@sic.json", "--workers", "0"],
+    ["chsh", "--eta", "1.2"],
+    ["random", "1"],
+)
 
 SIMULATIONS = (
     ("sic.json", "0,0,1"),
@@ -89,11 +108,12 @@ def commands() -> list[list[str]]:
     out += [[*simulations[0], "--workers", "2"], werner_chunks, [*werner_chunks, "--workers", "2"]]
     out += [["chsh", "--eta", eta] for eta in ("0.5", "0.7071067811865476", "1.0")]
     out += [["chsh", "--eta", "0.9", "--settings", "1,0,0;0,1,0;1,1,0;1,-1,0"]]
+    out += FAILURES
     return out
 
 
-def write_random_files(directory: Path) -> dict[str, Path]:
-    """Write the random POVM files; returns every placeholder's path."""
+def write_files(directory: Path) -> dict[str, Path]:
+    """Write the random and the bad POVM files; returns every placeholder's path."""
     paths = {name: fixture_path(name) for name in FIXTURES}
     for name, (n, seed) in RANDOM_FILES.items():
         path = directory / f"{name}.json"
@@ -101,16 +121,23 @@ def write_random_files(directory: Path) -> dict[str, Path]:
             if main(["random", str(n), "--seed", str(seed), "--out", str(path)]) != 0:
                 raise RuntimeError(f"could not write {name}")
         paths[name] = path
+    for name, text in BAD_FILES.items():
+        paths[name] = directory / name
+        paths[name].write_text(text, encoding="utf-8")
     return paths
 
 
-def run(argv: list[str], paths: dict[str, Path]) -> tuple[int, str]:
-    """Exit code and stdout of one command, placeholders resolved."""
+def run(argv: list[str], paths: dict[str, Path]) -> tuple[int, str, str]:
+    """Exit code, stdout and first stderr line of one command, placeholders resolved."""
     resolved = [str(paths[a[1:]]) if a.startswith("@") else a for a in argv]
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(resolved)
-    return code, buffer.getvalue()
+    first = (stderr.getvalue().splitlines() or [""])[0]
+    for placeholder, path in zip(argv, resolved):
+        if placeholder.startswith("@"):
+            first = first.replace(path, placeholder)
+    return code, stdout.getvalue(), first
 
 
 def versions() -> dict[str, str]:
@@ -118,16 +145,16 @@ def versions() -> dict[str, str]:
 
 
 def record(directory: Path) -> dict:
-    paths = write_random_files(directory)
+    paths = write_files(directory)
     entries = []
     for argv in commands():
-        code, stdout = run(argv, paths)
-        entries.append({"argv": argv, "exit": code, "stdout": stdout})
+        code, stdout, stderr = run(argv, paths)
+        entries.append({"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr})
     return {**versions(), "commands": entries}
 
 
 def differences(old: dict, new: dict) -> list[str]:
-    """Command lines whose exit code or stdout differ, or that exist on one side only."""
+    """Command lines whose exit code, stdout or stderr line differ, or on one side only."""
     before = {" ".join(e["argv"]): e for e in old["commands"]}
     after = {" ".join(e["argv"]): e for e in new["commands"]}
     changed = []
@@ -135,7 +162,7 @@ def differences(old: dict, new: dict) -> list[str]:
         a, b = before.get(line), after.get(line)
         if a is None or b is None:
             changed.append(f"{line} ({'added' if a is None else 'removed'})")
-        elif (a["exit"], a["stdout"]) != (b["exit"], b["stdout"]):
+        elif any(a[key] != b[key] for key in ("exit", "stdout", "stderr")):
             changed.append(line)
     return changed
 

@@ -18,6 +18,7 @@ quantities along independent routes, so tests can compare the two:
   Python floats or bare reductions: ``orthonormal_frame`` with
   ``np.cross`` and ``np.column_stack``, ``is_rotation`` with ``mat.T @ mat``,
   and ``validate`` with ``np.linalg.norm``;
+* ``save_povm``, the JSON writer the loader's round trip is checked with;
 * the Monte Carlo engine as it was written before its in-place kernel (the
   ``column_stack`` draw, ``(u < 0) @ bits`` octants, the ``np.where`` flip and
   ``below.sum(axis=1)`` for Bob), chunk by chunk in order, which
@@ -25,7 +26,9 @@ quantities along independent routes, so tests can compare the two:
   count.
 """
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +47,13 @@ from povmsim.frames import (
     projection_mass,
 )
 from povmsim.jointmeas import _MC_CHUNK, build_table
-from povmsim.povm import PovmValidation, QubitPovm, projective_povm, require_visibility
+from povmsim.povm import (
+    PovmValidation,
+    QubitPovm,
+    povm_to_dict,
+    projective_povm,
+    require_visibility,
+)
 
 # |psi-> = (|01> - |10>) / sqrt(2), basis order |00>, |01>, |10>, |11>.
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -331,6 +340,12 @@ def check_sic_universal_frame(
         n_violations=int(np.sum(values > 1.0 + tolerance)),
         max_value=float(values.max()) if n_samples else 0.0,
         tolerance=tolerance,
+    )
+
+
+def save_povm(povm: QubitPovm, path) -> None:
+    Path(path).write_text(
+        json.dumps(povm_to_dict(povm), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 

@@ -1,13 +1,13 @@
 """Seeded CLI output is byte-identical to the checked-in golden set.
 
-A failure names every command whose stdout or exit code changed.  If the
-change is intended, regenerate with ``python tests/cli_golden.py`` and list
-the changed commands in CHANGES.md.
+A failure names every command whose exit code, stdout or first stderr line
+changed.  If the change is intended, regenerate with ``python
+tests/cli_golden.py`` and list the changed commands in CHANGES.md.
 """
 
 import json
 
-from cli_golden import GOLDEN_PATH, commands, differences, run, versions, write_random_files
+from cli_golden import GOLDEN_PATH, commands, differences, run, versions, write_files
 
 
 def test_golden_set_covers_every_command():
@@ -17,11 +17,11 @@ def test_golden_set_covers_every_command():
 
 def test_seeded_cli_output_matches_golden(tmp_path):
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    paths = write_random_files(tmp_path)
+    paths = write_files(tmp_path)
     replay = {
         **golden,
         "commands": [
-            dict(zip(("exit", "stdout"), run(e["argv"], paths)), argv=e["argv"])
+            dict(zip(("exit", "stdout", "stderr"), run(e["argv"], paths)), argv=e["argv"])
             for e in golden["commands"]
         ],
     }

@@ -3,7 +3,8 @@
 ``tests/oracles.py`` keeps the engine as it was written out of place and
 runs its chunks serially; production runs the same chunk layout with the
 in-place draw, sign-bit octants, the XOR flip and the byte-matmul column
-count.  Every count must be equal, at chunk-boundary sample sizes.  Workers
+count.  Every count must be equal, at block- and chunk-boundary sample
+sizes: a chunk reads its stream in blocks of ``_MC_BLOCK`` samples.  Workers
 only schedule chunks, so a run of one chunk is checked on one worker and a
 run of several on 1, 2 and 3.
 """
@@ -19,11 +20,13 @@ from oracles import (
 
 from povmsim.bloch import random_unit_vectors
 from povmsim.frames import find_frame
-from povmsim.jointmeas import _MC_CHUNK, octant_index, simulate_statistics
+from povmsim.jointmeas import _MC_BLOCK, _MC_CHUNK, octant_index, simulate_statistics
 from povmsim.povm import projective_povm, random_povm, sic_povm, trine_povm
 from povmsim.werner import lhs_model
 
 SIZES = (0, 1, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 17)
+# Block boundaries inside one chunk; appended, so each earlier size keeps its seed.
+SIZES += (_MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1)
 
 
 def _workers(n: int) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import save_povm
 
 from povmsim import povm as povm_module
 from povmsim.bloch import PauliOperator, to_dense
@@ -19,7 +20,6 @@ from povmsim.povm import (
     povm_from_dict,
     projective_povm,
     random_povm,
-    save_povm,
     sic_povm,
     povm_to_dict,
     require_valid,
