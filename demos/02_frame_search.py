@@ -1,11 +1,11 @@
 """Finding a certified coordinate frame for arbitrary POVMs.
 
 The conditional probabilities are only well defined in a frame where the
-projection mass at every rotated cube vertex is at most one.  Three routes
-certify such a frame: an exact alignment for two-outcome POVMs, an
-intermediate-value bisection for coplanar POVMs, and in general a closed
-form, the eigenbasis of the second-moment matrix ``sum_i p_i a_i a_i^T``
-(the identity is kept when it already certifies).
+projection mass at every rotated cube vertex is at most one.  One closed
+form certifies such a frame for every POVM: the eigenbasis of the
+second-moment matrix ``sum_i p_i a_i a_i^T`` (the identity is kept when it
+already certifies).  The printed ``method`` labels the POVM's class:
+two-outcome, coplanar, or general.
 """
 
 import numpy as np

@@ -27,7 +27,6 @@ from .frames import (
     FrameCertificate,
     FrameMethod,
     FrameNotFoundError,
-    evaluate_frame,
     find_frame,
     positive_part,
     projection_mass,

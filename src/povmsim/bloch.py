@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The tolerance ladder: every slack outside the coplanar frame route is one
-# of these three rungs.  The README ("Tolerances") derives them.
+# The tolerance ladder: every slack on a numerical identity is one of these
+# three rungs.  The README ("Tolerances") derives them.
 #
 # Round-off on an identity that holds exactly: a rotation's orthogonality,
 # t >= |w| for a PSD operator, noise weights that all vanish.  An outcome
@@ -43,15 +43,6 @@ _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 class NotPositiveError(ValueError):
     """Raised when an operator required to be PSD has a negative eigenvalue."""
-
-
-def _as_vec3(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite components")
-    return v
 
 
 def _det3(rows) -> float:
@@ -136,34 +127,6 @@ def _directions(z: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
     np.multiply(r, trig, out=out[:, 0])
     np.sin(phi, out=trig)
     np.multiply(r, trig, out=out[:, 1])
-
-
-def orthonormal_frame(x_axis) -> np.ndarray:
-    """Rotation whose first column is ``x_axis`` (a unit vector).
-
-    The remaining columns are a deterministic right-handed completion, so
-    the same input always yields the same frame.
-    """
-    x = _as_vec3(x_axis)
-    nx = np.linalg.norm(x)
-    if abs(nx - 1.0) > FRAME_ATOL:
-        raise ValueError("x_axis must be a unit vector")
-    x = x / nx
-    # Seed the completion with the standard basis vector least aligned to x.
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(x)))] = 1.0
-    y = e - (e @ x) * x
-    y /= np.linalg.norm(y)
-    # z = x cross y term by term, as np.cross evaluates it: two rounded
-    # products, then one subtraction, so the same bits.
-    (x0, x1, x2), (y0, y1, y2) = x.tolist(), y.tolist()
-    return np.array(
-        [
-            [x0, y0, x1 * y2 - x2 * y1],
-            [x1, y1, x2 * y0 - x0 * y2],
-            [x2, y2, x0 * y1 - x1 * y0],
-        ]
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,10 +9,10 @@ Subcommands::
     povmsim random  N --seed S --out FILE        generate a random POVM file
 
 Exit codes: 0 success, 1 verification/statistics failure, 2 parse or
-validation error, 3 internal numerical failure: a frame that does not
-certify, or a non-finite value in a report (printed neither as JSON nor as
-CSV; stdout stays empty).  All stochastic paths are seeded, so a repeated
-invocation produces byte-identical output.
+validation error, 3 internal failure: a frame that does not certify or was
+certified for another POVM, or a non-finite value in a report (printed
+neither as JSON nor as CSV; stdout stays empty).  All stochastic paths are
+seeded, so a repeated invocation produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .bloch import VALIDATION_ATOL
 from .frames import FrameNotFoundError, find_frame
-from .jointmeas import build_table, simulate_statistics, verify_decomposition
+from .jointmeas import InvalidFrameError, build_table, simulate_statistics, verify_decomposition
 from .povm import (
     GenerationFailedError,
     load_povm,
@@ -320,7 +320,9 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
         return args.func(args)
-    except (FrameNotFoundError, NonFiniteOutputError) as exc:
+    # InvalidFrameError is a ValueError, but the CLI builds every frame
+    # itself, so here it is a program fault, not bad input.
+    except (FrameNotFoundError, InvalidFrameError, NonFiniteOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FRAME
     except (ValueError, GenerationFailedError, OSError) as exc:

@@ -42,7 +42,7 @@ from povm_families import (  # noqa: E402
 )
 from oracles import random_rotations  # noqa: E402
 
-from povmsim.frames import _find_frame_coplanar, find_frame  # noqa: E402
+from povmsim.frames import find_frame  # noqa: E402
 from povmsim.jointmeas import build_table, verify_decomposition  # noqa: E402
 from povmsim.povm import (  # noqa: E402
     fixture_path,
@@ -94,11 +94,10 @@ def _near_coplanar(count: int, seed: int):
     return [near_coplanar_povm(rng) for _ in range(count)]
 
 
-# name -> POVM list.  ``planar`` spans 3 to 60 outcomes, the whole range of
-# the coplanar bisection's scalar step; ``near_coplanar`` sits just off that
-# route, and ``near_coplanar_bisection`` runs the bisection on it directly.
-# ``documents`` goes through the JSON loader, which normalises the
-# directions and stores the validation report.
+# name -> POVM list.  ``planar`` spans 3 to 60 outcomes, all labelled
+# coplanar; ``near_coplanar`` sits just above the ``COPLANAR_SVAL`` label
+# threshold.  ``documents`` goes through the JSON loader, which normalises
+# the directions and stores the validation report.
 FAMILIES = {
     "general_position": lambda: [general_position_povm(4 + k % 27, 73_000 + k) for k in range(108)],
     "near_projective": lambda: [near_projective_povm(5 + k % 26, 74_000 + k) for k in range(104)],
@@ -108,7 +107,6 @@ FAMILIES = {
     "random_povm": lambda: [random_povm(n, 75_000 + 31 * n + k) for n in range(2, 14) for k in range(10)],
     "planar": lambda: [planar_povm(n, 76_000 + 97 * n + k) for n in range(3, 61) for k in range(2)],
     "near_coplanar": lambda: _near_coplanar(100, 77),
-    "near_coplanar_bisection": lambda: _near_coplanar(60, 78),
     "documents": lambda: _documents(40),
 }
 
@@ -143,22 +141,12 @@ def certify_bytes(povm) -> bytes:
     )
 
 
-def bisection_bytes(povm) -> bytes:
-    """The coplanar bisection's certificate for a POVM just off its route."""
-    cert = _find_frame_coplanar(povm)
-    return (
-        cert.method.value.encode()
-        + _f64(cert.rotation, cert.vertex_values, cert.max_value, cert.projections)
-    )
-
-
 def digest(name: str) -> tuple[int, str]:
     """Number of POVMs and SHA-256 of one family."""
     povms = FAMILIES[name]()
-    chain = bisection_bytes if name == "near_coplanar_bisection" else certify_bytes
     sha = hashlib.sha256()
     for povm in povms:
-        sha.update(chain(povm))
+        sha.update(certify_bytes(povm))
     return len(povms), sha.hexdigest()
 
 

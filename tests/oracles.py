@@ -11,13 +11,12 @@ quantities along independent routes, so tests can compare the two:
   identities behind the frame bounds;
 * ``rotate``, a rotation applied to one vector or a batch of row vectors,
   and ``random_rotations``, Haar-random rotations for seeded tests;
-* the coplanar bisection with a rotation and two ``projection_mass`` calls
-  per step, which ``frames._find_frame_coplanar`` must match bit for bit;
+* ``evaluate_frame``, the certificate of an explicit rotation, for tests
+  that need a frame ``find_frame`` would not return;
 * the SIC any-frame bound probed at random points of radius sqrt(3);
-* the numpy forms of three certify kernels that production evaluates in
-  Python floats or bare reductions: ``orthonormal_frame`` with
-  ``np.cross`` and ``np.column_stack``, ``is_rotation`` with ``mat.T @ mat``,
-  and ``validate`` with ``np.linalg.norm``;
+* the numpy forms of two certify kernels that production evaluates in
+  Python floats: ``is_rotation`` with ``mat.T @ mat``, and ``validate``
+  with ``np.linalg.norm``;
 * ``save_povm``, the JSON writer the loader's round trip is checked with;
 * the Monte Carlo engine as it was written before its in-place kernel (the
   ``column_stack`` draw, ``(u < 0) @ bits`` octants, the ``np.where`` flip and
@@ -33,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from povmsim.bloch import (
+    FRAME_ATOL,
     ROUND_OFF,
     PauliOperator,
-    orthonormal_frame,
     random_unit_vectors,
     to_dense,
 )
@@ -43,6 +42,8 @@ from povmsim.frames import (
     OCTANT_SIGNS,
     CubeVertices,
     FrameCertificate,
+    FrameMethod,
+    _certificate,
     positive_part,
     projection_mass,
 )
@@ -219,61 +220,22 @@ def cube_vertex_identities(a, cube: CubeVertices, atol: float = 1e-10) -> CubeId
     )
 
 
-def coplanar_bisection_rotation(povm: QubitPovm) -> np.ndarray:
-    """The coplanar bisection evaluated per vertex: the reference for ``frames``.
+def evaluate_frame(
+    povm: QubitPovm, rotation, method: FrameMethod = FrameMethod.MINIMAX_SEARCH, check: bool = True
+) -> FrameCertificate:
+    """Build the certificate for an explicit rotation.
 
-    Same start frame, exit thresholds, lo/hi updates and step count as
-    ``frames._find_frame_coplanar``, but every step builds the rotation and
-    evaluates the two vertex classes with ``projection_mass``.
+    With ``check`` enabled the rotation must actually certify, i.e. have
+    ``max_value <= 1 + FRAME_ATOL``.
     """
-    _, _, vt = np.linalg.svd(povm.directions)
-    normal = vt[2]
-    if normal[np.argmax(np.abs(normal))] < 0:
-        normal = -normal
-    base = orthonormal_frame(normal)
-    frame0 = np.column_stack([base[:, 1], base[:, 2], base[:, 0]])
-
-    def rotation_at(angle: float) -> np.ndarray:
-        c, s = np.cos(angle), np.sin(angle)
-        return frame0 @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def gap_at(angle: float) -> float:
-        rot = rotation_at(angle)
-        c1 = projection_mass(povm, rot @ np.array([1.0, 1.0, 1.0]))
-        c2 = projection_mass(povm, rot @ np.array([1.0, -1.0, 1.0]))
-        return c1 - c2
-
-    gap = gap_at(0.0)
-    if abs(gap) <= 1e-12:
-        return frame0
-    lo, hi = 0.0, np.pi / 2.0
-    gap_lo = gap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        gap_mid = gap_at(mid)
-        if abs(gap_mid) <= 1e-13:
-            lo = hi = mid
-            break
-        if (gap_mid > 0) == (gap_lo > 0):
-            lo, gap_lo = mid, gap_mid
-        else:
-            hi = mid
-    return rotation_at(0.5 * (lo + hi))
+    cert = _certificate(povm, CubeVertices.from_rotation(rotation), method)
+    if check and cert.max_value > 1.0 + FRAME_ATOL:
+        raise ValueError(f"rotation does not certify: max vertex value {cert.max_value}")
+    return cert
 
 
 # ---------------------------------------------------------------------------
 # Certify kernels in their numpy form.
-
-
-def orthonormal_frame_numpy(x_axis) -> np.ndarray:
-    """``orthonormal_frame`` completed with ``np.cross`` and ``np.column_stack``."""
-    x = np.asarray(x_axis, dtype=float)
-    x = x / np.linalg.norm(x)
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(x)))] = 1.0
-    y = e - (e @ x) * x
-    y /= np.linalg.norm(y)
-    return np.column_stack([x, y, np.cross(x, y)])
 
 
 def is_rotation_numpy(mat) -> bool:

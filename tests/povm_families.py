@@ -70,8 +70,8 @@ def near_coplanar_povm(rng: np.random.Generator) -> QubitPovm:
     """A closed planar set plus an antipodal pair tilted out of the plane by eps.
 
     The smallest singular value grows linearly in eps; eps is scaled to put
-    it at 1.5 to 5 times COPLANAR_SVAL, so the minimax route sees a nearly
-    singular M.
+    it at 1.5 to 5 times COPLANAR_SVAL: labelled general position, with a
+    nearly singular M.
     """
     n_plane = int(rng.integers(3, 12))
     theta = rng.uniform(0.0, 2.0 * np.pi, n_plane - 1)
@@ -117,7 +117,7 @@ def zero_weight_povm(base: QubitPovm, extra: int, rng: np.random.Generator) -> Q
     """``base`` plus ``extra`` zero-weight outcomes with random, non-unit directions.
 
     Zero-weight outcomes need no unit direction, and one may lift a coplanar
-    POVM off the coplanar route.
+    POVM out of the coplanar label.
     """
     junk = rng.standard_normal((extra, 3)) * rng.uniform(0.0, 5.0)
     weights = np.append(base.weights, np.zeros(extra))

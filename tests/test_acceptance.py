@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from oracles import (
     check_sic_universal_frame,
+    evaluate_frame,
     octant_operators_quadrature,
     projection_mass_abs,
     random_rotations,
@@ -21,7 +22,6 @@ from povmsim.frames import (
     OCTANT_SIGNS,
     CubeVertices,
     FrameMethod,
-    evaluate_frame,
     find_frame,
     positive_part,
     projection_mass,

@@ -10,8 +10,6 @@ from povmsim.bloch import (
     eigen_rank1_split,
     is_psd,
     is_rotation,
-    orthonormal_frame,
-    random_unit_vectors,
     rotation_from_euler_zyz,
     to_dense,
 )
@@ -67,14 +65,6 @@ def test_is_rotation_rejects_improper_and_non_orthogonal():
         assert not is_rotation((1.0 + 1e-10) * r)
     assert not is_rotation(np.eye(2))
     assert not is_rotation(np.full((3, 3), np.nan))
-
-
-def test_orthonormal_frame_first_column():
-    rng = np.random.default_rng(2)
-    for u in random_unit_vectors(25, rng):
-        frame = orthonormal_frame(u)
-        np.testing.assert_allclose(frame[:, 0], u, atol=1e-15)
-        assert is_rotation(frame)
 
 
 class TestDenseConversion:

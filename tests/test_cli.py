@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from povmsim import cli, frames
-from povmsim.bloch import rotation_from_euler_zyz
 from povmsim.cli import EXIT_FRAME, main
-from povmsim.povm import fixture_path, load_povm
+from povmsim.frames import find_frame
+from povmsim.povm import fixture_path, load_povm, sic_povm
 
 
 def run_cli(*args):
@@ -52,17 +52,31 @@ class TestVerifyCommand:
         code, _, _ = run_cli("verify", "-p", str(bad))
         assert code == 2
 
-    def test_uncertified_frame_exits_3(self, monkeypatch, capsys):
-        # A rotation that sends the cube diagonal (1, 1, 1) onto the z axis
-        # puts a vertex value of sqrt(3) on the projective z measurement.
-        diagonal_on_z = rotation_from_euler_zyz(0.0, -np.arccos(1.0 / np.sqrt(3.0)), -np.pi / 4)
-        np.testing.assert_allclose(diagonal_on_z @ np.ones(3), [0.0, 0.0, np.sqrt(3.0)], atol=1e-12)
-        monkeypatch.setattr(frames, "orthonormal_frame", lambda axis: diagonal_on_z)
-        code = main(["verify", "-p", str(fixture_path("projective_z.json"))])
+    def test_uncertified_frame_exits_3(self, monkeypatch, capsys, tmp_path):
+        # The identity puts a vertex value of sqrt(3) on a projective pair
+        # along the cube diagonal; an eigenframe patched to the identity
+        # leaves nothing that certifies.
+        axis = np.ones(3) / np.sqrt(3.0)
+        path = tmp_path / "diagonal.json"
+        pair = [{"p": 1.0, "a": list(axis)}, {"p": 1.0, "a": list(-axis)}]
+        path.write_text(json.dumps({"outcomes": pair}))
+        monkeypatch.setattr(frames, "_second_moment_frame", lambda povm: np.eye(3))
+        code = main(["verify", "-p", str(path)])
         assert code == EXIT_FRAME
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "TwoOutcomeExact frame does not certify" in captured.err
+
+    def test_frame_of_another_povm_exits_3(self, monkeypatch, capsys):
+        # InvalidFrameError is a ValueError, but the CLI builds its frames
+        # itself: a frame of the wrong POVM is a program fault, not bad input.
+        sic_frame = find_frame(sic_povm())
+        monkeypatch.setattr(cli, "find_frame", lambda povm: sic_frame)
+        code = main(["verify", "-p", str(fixture_path("trine.json"))])
+        assert code == EXIT_FRAME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "certified for a different POVM" in captured.err
 
     def test_csv_table_shape(self, tmp_path):
         out_file = tmp_path / "table.csv"

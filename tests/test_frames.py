@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     check_sic_universal_frame,
-    coplanar_bisection_rotation,
     cube_vertex_identities,
+    evaluate_frame,
     projection_mass_abs,
     random_rotations,
 )
@@ -29,11 +29,8 @@ from povmsim.frames import (
     CubeVertices,
     FrameMethod,
     FrameNotFoundError,
-    _find_frame_coplanar,
-    _GAP_BAND,
+    _IDENTITY_CUBE,
     _second_moment_frame,
-    _vertex_gap,
-    evaluate_frame,
     find_frame,
     positive_part,
     projection_mass,
@@ -167,16 +164,20 @@ class TestVertexMassSum:
 
 class TestFindFrame:
     def test_projective_frame_is_exact(self):
-        cert = find_frame(projective_povm([0.3, -0.4, 0.87]))
-        assert cert.method is FrameMethod.TWO_OUTCOME_EXACT
-        np.testing.assert_allclose(cert.vertex_values, 1.0, atol=1e-12)
+        # sum_s (v_s . a)^2 = 8, so a certified frame has all eight values at 1.
+        axes = [[0.3, -0.4, 0.87], *random_unit_vectors(2000, np.random.default_rng(37))]
+        for axis in axes:
+            cert = find_frame(projective_povm(axis))
+            assert cert.method is FrameMethod.TWO_OUTCOME_EXACT
+            np.testing.assert_allclose(cert.vertex_values, 1.0, rtol=0.0, atol=1e-14)
 
     def test_trine_uses_bisection(self):
+        # ``CoplanarBisection`` labels the coplanar class; the identity
+        # certifies the trine, which lies in the x-y plane.
         cert = find_frame(trine_povm())
         assert cert.method is FrameMethod.COPLANAR_BISECTION
         assert cert.max_value <= 1.0 + FRAME_ATOL
-        # The two vertex classes meet at the crossing.
-        assert abs(cert.vertex_values[0] - cert.vertex_values[2]) <= 1e-9
+        np.testing.assert_array_equal(cert.rotation, _IDENTITY_CUBE.rotation)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_random_povm_certificates(self, n):
@@ -354,45 +355,32 @@ class TestFrameBoundAcrossPovmSpace:
             assert_certified(povm)
 
 
-class TestCoplanarBisection:
-    """The closed-form step against the per-vertex reference in ``oracles``."""
+class TestOneConstruction:
+    """Every POVM takes the identity if it certifies, else the eigenframe."""
 
     FAMILIES = {
         "coplanar": lambda k, rng: planar_povm(3 + k % 10, 60_000 + k),
         "collinear": lambda k, rng: random_povm(3, 61_000 + k),
         "near_coplanar": lambda k, rng: near_coplanar_povm(rng),
     }
+    LABELS = {
+        "coplanar": FrameMethod.COPLANAR_BISECTION,
+        "collinear": FrameMethod.COPLANAR_BISECTION,
+        "near_coplanar": FrameMethod.MINIMAX_SEARCH,
+    }
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_bit_identical_to_per_vertex_reference(self, family):
+    def test_identity_then_eigenframe(self, family):
         rng = np.random.default_rng(35)
         for k in range(1000):
             povm = self.FAMILIES[family](k, rng)
-            # The near-coplanar family is off the route, so call it directly.
-            cert = _find_frame_coplanar(povm) if family == "near_coplanar" else find_frame(povm)
-            assert cert.method is FrameMethod.COPLANAR_BISECTION
-            reference = evaluate_frame(povm, coplanar_bisection_rotation(povm), check=False)
-            np.testing.assert_array_equal(cert.rotation, reference.rotation)
-            np.testing.assert_array_equal(cert.vertex_values, reference.vertex_values)
-
-    def test_closed_form_gap_inside_the_band(self):
-        # The per-vertex gap rotates the cube first; the closed form rotates
-        # the directions into the start frame once.  Any start frame works.
-        rng = np.random.default_rng(36)
-        worst = 0.0
-        for k in range(600):
-            family = ("coplanar", "collinear", "near_coplanar")[k % 3]
-            povm = self.FAMILIES[family](k, rng)
-            frame0 = random_rotations(1, rng)[0]
-            outcomes = list(zip(*(frame0.T @ povm.directions.T).tolist(), povm.weights.tolist()))
-            for angle in rng.uniform(0.0, np.pi / 2.0, 20):
-                c, s = np.cos(angle), np.sin(angle)
-                rot = frame0 @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-                per_vertex = projection_mass(povm, rot @ [1.0, 1.0, 1.0]) - projection_mass(
-                    povm, rot @ [1.0, -1.0, 1.0]
-                )
-                worst = max(worst, abs(_vertex_gap(outcomes, angle) - per_vertex))
-        assert worst <= _GAP_BAND / 10.0
+            cert = assert_certified(povm, self.LABELS[family])
+            identity = evaluate_frame(povm, _IDENTITY_CUBE.rotation, check=False)
+            if identity.max_value <= 1.0 + FRAME_ATOL:
+                expected = _IDENTITY_CUBE.rotation
+            else:
+                expected = _second_moment_frame(povm)
+            np.testing.assert_array_equal(cert.rotation, expected)
 
 
 class TestSicUniversalFrame:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from oracles import octant_operators_quadrature, random_rotations
+from oracles import evaluate_frame, octant_operators_quadrature, random_rotations
 
 from povmsim.bloch import PauliOperator, random_unit_vectors, to_dense
-from povmsim.frames import evaluate_frame, find_frame
+from povmsim.frames import find_frame
 from povmsim.jointmeas import (
     InvalidFrameError,
     build_table,

@@ -1,6 +1,5 @@
 """The certify kernels against their numpy forms in ``oracles``.
 
-``orthonormal_frame`` must match bit for bit, signed zeros included;
 ``is_rotation`` must take the same decision; ``validate`` must report equal
 residuals.  ``tests/golden/certify.json`` pins the same kernels end to end.
 """
@@ -8,7 +7,7 @@ residuals.  ``tests/golden/certify.json`` pins the same kernels end to end.
 import itertools
 
 import numpy as np
-from oracles import is_rotation_numpy, orthonormal_frame_numpy, random_rotations, validate_numpy
+from oracles import is_rotation_numpy, random_rotations, validate_numpy
 from povm_families import (
     duplicate_direction_povm,
     general_position_povm,
@@ -19,42 +18,9 @@ from povm_families import (
     zero_weight_povm,
 )
 
-from povmsim.bloch import _det3, is_rotation, orthonormal_frame, random_unit_vectors
+from povmsim.bloch import _det3, is_rotation
 from povmsim.frames import _second_moment_frame
 from povmsim.povm import QubitPovm, povm_from_dict, povm_to_dict, random_povm, validate
-
-
-def special_unit_vectors() -> list[np.ndarray]:
-    """Axis-aligned and in-plane vectors with every sign of zero, and argmin ties."""
-    out = []
-    for k, sign in itertools.product(range(3), (1.0, -1.0)):
-        for zeros in itertools.product((0.0, -0.0), repeat=2):
-            v = list(zeros)
-            v.insert(k, sign)
-            out.append(np.array(v))
-    rng = np.random.default_rng(80)
-    for k, zero in itertools.product(range(3), (0.0, -0.0)):
-        for t in rng.uniform(0.0, 2.0 * np.pi, 100):
-            v = [np.cos(t), np.sin(t)]
-            v.insert(k, zero)
-            out.append(np.array(v))
-    for signs in itertools.product((1.0, -1.0), repeat=3):
-        out.append(np.array(signs) / np.sqrt(3.0))
-        for k, zero in itertools.product(range(3), (0.0, -0.0)):
-            v = [signs[0], signs[1]]
-            v.insert(k, zero)
-            out.append(np.array(v) / np.sqrt(2.0))
-    return out
-
-
-def test_orthonormal_frame_bit_equal():
-    special = special_unit_vectors()
-    vectors = special + list(random_unit_vectors(10_000 - len(special), np.random.default_rng(81)))
-    assert len(vectors) == 10_000
-    for x in vectors:
-        got, want = orthonormal_frame(x), orthonormal_frame_numpy(x)
-        assert got.shape == want.shape == (3, 3)
-        assert got.tobytes() == want.tobytes(), x
 
 
 def test_is_rotation_same_decision():

@@ -2,10 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import chsh_correlator_dense, random_rotations, werner_dense, werner_joint_dense
+from oracles import (
+    chsh_correlator_dense,
+    evaluate_frame,
+    random_rotations,
+    werner_dense,
+    werner_joint_dense,
+)
 
 from povmsim.bloch import PauliOperator, to_dense
-from povmsim.frames import evaluate_frame
 from povmsim.jointmeas import build_table
 from povmsim.povm import projective_povm, random_povm, sic_povm, trine_povm
 from povmsim.stats import chi_squared_test
