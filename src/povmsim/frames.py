@@ -41,7 +41,7 @@ included.  Each certificate carries its POVM and ``8 x n`` matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -164,20 +164,38 @@ def _certificate(povm: QubitPovm, cube: CubeVertices, method: FrameMethod) -> Fr
     return FrameCertificate(cube, values, float(values.max()), method, povm, projections)
 
 
-def _second_moment_frame(povm: QubitPovm) -> np.ndarray:
-    """Eigenbasis of ``M = sum_i p_i a_i a_i^T`` as a deterministic rotation.
+def _second_moment_frame(povm: QubitPovm) -> tuple[np.ndarray, float]:
+    """Eigenbasis of ``M = sum_i p_i a_i a_i^T`` as a rotation, and ``M``'s smallest eigenvalue.
 
-    Columns follow ascending eigenvalues, the largest-magnitude entry of
-    each column is positive, and the last column is negated if needed to
-    make the determinant +1.
+    The rotation is deterministic: columns follow ascending eigenvalues, the
+    largest-magnitude entry of each column is positive, and the last column
+    is negated if needed to make the determinant +1.
     """
     d = povm.directions
-    _, vecs = np.linalg.eigh((d.T * povm.weights) @ d)
+    values, vecs = np.linalg.eigh((d.T * povm.weights) @ d)
     pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(3)]
     vecs = vecs * np.where(pivots < 0, -1.0, 1.0)
     if _det3(vecs.tolist()) < 0:
         vecs[:, 2] = -vecs[:, 2]
-    return vecs
+    return vecs, float(values[0])
+
+
+def _label(povm: QubitPovm, smallest_eigenvalue: float | None) -> FrameMethod:
+    """The :class:`FrameMethod` of ``povm``, without an SVD where ``eigh`` decides it.
+
+    ``M = D^T W D`` for the direction matrix ``D`` and weights ``W``, so
+    ``lambda_min(M) <= w_max sigma_min(D)^2``, and a valid POVM has ``w_max
+    <= 2 + 1e-10``.  An eigenvalue above ``1e-12`` (``eigh`` is accurate to
+    about 1e-15 here) proves ``sigma_min(D) > 7e-7``, far above
+    ``COPLANAR_SVAL``: the label is ``MinimaxSearch``, as the SVD would say.
+    """
+    if povm.n_outcomes == 2:
+        return FrameMethod.TWO_OUTCOME_EXACT
+    if smallest_eigenvalue is not None and smallest_eigenvalue > 1e-12:
+        return FrameMethod.MINIMAX_SEARCH
+    if np.linalg.svd(povm.directions, compute_uv=False)[-1] < COPLANAR_SVAL:
+        return FrameMethod.COPLANAR_BISECTION
+    return FrameMethod.MINIMAX_SEARCH
 
 
 # The identity cube, built and checked once.  Its rotation is the zero
@@ -202,15 +220,15 @@ def find_frame(povm: QubitPovm) -> FrameCertificate:
     numerical failure since a valid frame always exists.
     """
     require_valid(povm)
-    if povm.n_outcomes == 2:
-        method = FrameMethod.TWO_OUTCOME_EXACT
-    elif np.linalg.svd(povm.directions, compute_uv=False)[-1] < COPLANAR_SVAL:
-        method = FrameMethod.COPLANAR_BISECTION
-    else:
-        method = FrameMethod.MINIMAX_SEARCH
-    cert = _certificate(povm, _IDENTITY_CUBE, method)
+    cert = _certificate(povm, _IDENTITY_CUBE, FrameMethod.MINIMAX_SEARCH)
+    smallest = None
     if cert.max_value > 1.0 + FRAME_ATOL:
-        cert = _certificate(povm, CubeVertices.from_rotation(_second_moment_frame(povm)), method)
+        rotation, smallest = _second_moment_frame(povm)
+        cube = CubeVertices.from_rotation(rotation)
+        cert = _certificate(povm, cube, FrameMethod.MINIMAX_SEARCH)
+    method = _label(povm, smallest)
+    if method is not cert.method:
+        cert = replace(cert, method=method)
     if cert.max_value > 1.0 + FRAME_ATOL:
         raise FrameNotFoundError(
             f"{cert.method.value} frame does not certify: max vertex value {cert.max_value}"

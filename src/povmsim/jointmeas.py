@@ -29,12 +29,65 @@ directly in frame coordinates, the inputs rotated into the frame once),
 measurement's accept/flip, or Bob's inverse CDF), and from ``3m`` on one
 multinomial per octant row or (octant, Bob outcome) cell.  So the chunk
 runs in blocks of ``_MC_BLOCK`` samples, reading each block's slice of
-the first three ranges, and its counts equal one pass over the whole chunk.
-The classifier folds the octant, taken from sign bits, and the column into
-one cell code, so a block makes one ``bincount``.  Every buffer belongs to
-one chunk and holds one block: engine memory is O(block x workers), not
-O(chunk x workers x Bob outcomes).  No buffer is kept between chunks or
-shared between threads.
+the first three ranges.  Every buffer belongs to one chunk and holds one
+block: engine memory is O(block x workers), not O(chunk x workers x Bob
+outcomes).  No buffer is kept between chunks or shared between threads.
+
+One decision rule serves both samplers: ``k`` linear thresholds ``T_j(u) =
+c_j + w_j . u`` on the frame direction ``u``, compared with the sample's
+uniform ``v``.  ``simulate_statistics`` has ``k = 1``, the parent's accept
+weight ``T = 1/2 + (s/2) . u``, and flips ``u`` to ``-u`` iff ``T <= v``;
+the hidden-state model has the ``n_b - 1`` rows of Bob's CDF.  A sample's
+cell code is ``octant(u) * (k + 1) + #{j : T_j(u) <= v}``, the octant from
+sign bits, so a block makes one ``bincount``.
+
+The rule in float64 is the definition of every decision; a float32 filter
+evaluates it first (a filtered predicate, as in Shewchuk's adaptive
+geometric predicates).  From the ``z`` uniform ``u_z`` the filter forms
+``z / 2 = u_z - 1/2`` and ``(r / 2)^2 = u_z (1 - u_z)`` in float64 (a
+float32 ``z`` would move ``r = sqrt(1 - z^2)`` by up to 3e-4 near the
+poles) before rounding to float32; it rounds the rule's float64 azimuth to
+float32 and takes float32 ``cos`` and ``sin``, SIMD in numpy where float64
+trig calls libm.  A float32 product gives every ``T_j - v`` and ``x``,
+``y``, ``z``, shifted to one edge of the band ``[-_GUARD, _GUARD]``; the
+code from their signs at the two edges is the same exactly when none of
+them lies in the band, and the sample then takes it.  The rest are kept
+and classified by the float64 rule once per chunk, from their uniforms.
+Stream offsets do not change, and every direction is still sampled.
+About 2.4e-4 of the samples of ``simulate_statistics`` fall back: ``x`` is
+uniform on ``[-1, 1]``, so its band holds 6.1e-5 of them, as does ``y``'s,
+and the threshold's 1.2e-4.  Each further threshold of the model adds about
+1.2e-4.
+
+Error bound behind ``_GUARD = 2^-14`` (about 6.1e-5).  With ``|w_j| <= 1``,
+``|c_j| <= 1`` and ``v < 1``:
+
+* float32 ``cos``/``sin`` of the rounded azimuth are within ``e_t`` of the
+  float64 ones; ``e_t`` measured 2.6e-7 and is tested below 1e-6;
+* ``r``, ``x`` and ``y`` take three more float32 roundings, so
+  ``|x~ - x|, |y~ - y| <= e_t + 1.5e-7``, and ``|z~ - z| <= 2^-25``;
+* so ``|w_j . (u~ - u)| <= 1.42 (e_t + 1.5e-7)``; rounding the rows to
+  float32 adds ``1.3e-7``, rounding ``v`` adds ``3e-8``, and the five-term
+  float32 product at most ``5 * 2^-24 * 3 = 9e-7``.
+
+In all ``|T~_j - v~ - (T_j - v)| <= 1.42 e_t + 1.3e-6``, about 1.7e-6 at the
+measured ``e_t`` (``_GUARD`` is 37 times that) and 2.7e-6 at the tested one
+(23 times).  The float64 rule's own rounding moves these values by less
+than 1e-8 (``r`` near the poles) and 1e-15 elsewhere.  So outside the band
+the float32 sign is the float64 one, and no decision of the filter sits on
+a tie.  The same bound holds for ``x~`` and ``y~``, and ``z``'s float32
+sign is exact: its row is scaled by 2^21 so that its band, needed only for
+``z = 0``, costs about 1e-10 of the samples.
+
+Equality.  A decision the filter takes equals that of the float64 rule
+however the rule's dot products are rounded.  Those do depend on BLAS: the
+row results of ``u @ s`` and ``lam @ cdf_lin.T`` depend on the row count
+(with OpenBLAS 0.3.31, Haswell kernels, 2 of 1.32 M gemv rows and 14
+gemm elements differed in the last bit between a 2^17-row chunk and its
+2^14-row blocks or row subsets).  So the engine and a chunk-level float64 reference agree on a
+decision unless a uniform lies within an ulp of a threshold, about 2^-53
+per threshold per sample; the fallback, run on a subset of rows, has the
+same property.
 """
 
 from __future__ import annotations
@@ -50,7 +103,10 @@ from .povm import QubitPovm, born_probabilities
 from .stats import z_scores
 
 _MC_CHUNK = 1 << 17
-_MC_BLOCK = 1 << 13
+_MC_BLOCK = 1 << 14
+# Half-width of the band around each float32 decision inside which a
+# sample is recomputed in float64 (module docstring).
+_GUARD = 2.0**-14
 
 
 class InvalidFrameError(ValueError):
@@ -259,46 +315,146 @@ def _run_chunks(sampler, sizes, seeds, workers: int, shape) -> np.ndarray:
     return counts
 
 
+class _Thresholds:
+    """The decision rule of both samplers: ``k`` linear thresholds on a direction.
+
+    A sample with frame direction ``u`` and uniform ``v`` gets the cell code
+    ``octant(u) * (k + 1) + #{j : T_j(u) <= v}``, with ``T_j(u) = const_j +
+    lin_j . u``.  :meth:`exact` is the definition, in float64;
+    :meth:`estimate` is the float32 filter in front of it (module docstring).
+    """
+
+    def __init__(self, lin: np.ndarray, const: np.ndarray):
+        k = len(const)
+        self.lin, self.const, self.n_cols = lin, const, k + 1
+        self.n_codes = 8 * (k + 1)
+        # Rows of the float32 product with [x/2, y/2, z/2, 1, v]: the k
+        # differences T_j - v, then x, y, and z scaled up so that its band
+        # is negligible.  The two copies are shifted by +_GUARD and -_GUARD,
+        # the two edges of the band.
+        rows = np.zeros((2, k + 3, 5))
+        rows[:, :k, :3] = 2.0 * lin
+        rows[:, :k, 3] = const
+        rows[:, :k, 4] = -1.0
+        rows[:, k:, :3] = np.diag([2.0, 2.0, 2.0**21])
+        rows[:, :, 3] += [[_GUARD], [-_GUARD]]
+        self.rows = rows.astype(np.float32)
+        # The code is these weights dotted with the rows' sign bits.
+        self.weights = np.array([1] * k + [4 * k + 4, 2 * k + 2, k + 1], dtype=np.float32)
+
+    def exact(self, z: np.ndarray, phi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Codes in float64 from each sample's three uniforms; overwrites ``z`` and ``phi``."""
+        directions = np.empty((len(z), 3))
+        _directions(z, phi, directions)
+        thresholds = directions @ self.lin.T
+        thresholds += self.const
+        codes = _octants(directions)
+        codes *= self.n_cols
+        codes += (thresholds <= uniforms[:, None]).sum(axis=1)
+        return codes
+
+    def estimate(self, draws: np.ndarray, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+        """Float32 codes of a block of draws, rows ``z``, ``phi`` and ``v``.
+
+        Returns the codes and the indices of the samples inside the guard
+        band, whose code is set to ``n_codes``; every other code equals
+        :meth:`exact`'s.  ``draws`` is left as it is.
+        """
+        z, phi, uniforms = draws
+        b = len(z)
+        est, out, edges = work.est[:, :b], work.out[:, :b], work.edges[:, :b]
+        # z / 2 = u - 1/2, and r / 2 = sqrt(u (1 - u)) with u (1 - u) in float64.
+        np.subtract(z, 0.5, out=est[2])
+        t = np.subtract(1.0, z, out=work.t[:b])
+        r = np.multiply(t, z, out=work.r[:b])
+        np.sqrt(r, out=r)
+        # The float64 azimuth rounded once to float32, and its float32 trig.
+        phi32 = np.multiply(phi, 2.0 * np.pi, out=est[4])
+        np.cos(phi32, out=est[0])
+        np.sin(phi32, out=est[1])
+        est[:2] *= r
+        est[4] = uniforms
+        # The code at each edge of the band; they differ inside it.
+        for rows, edge in zip(self.rows, edges):
+            np.matmul(rows, est, out=out)
+            np.less(out, 0.0, out=out)
+            np.matmul(self.weights, out, out=edge)
+        unsure = np.flatnonzero(edges[0] != edges[1])
+        codes = work.codes[:b]
+        codes[...] = edges[0]
+        codes[unsure] = self.n_codes
+        return codes, unsure
+
+
+class _Workspace:
+    """One chunk's buffers for blocks of up to ``size`` samples."""
+
+    def __init__(self, thresholds: _Thresholds, size: int):
+        self.est = np.empty((5, size), dtype=np.float32)
+        self.est[3] = 1.0
+        self.t = np.empty(size)
+        self.r = np.empty(size, dtype=np.float32)
+        self.out = np.empty((thresholds.rows.shape[1], size), dtype=np.float32)
+        self.edges = np.empty((2, size), dtype=np.float32)
+        self.codes = np.empty(size, dtype=np.intp)
+
+
 def _sample_table(
-    table: np.ndarray, n_cols: int, classify, n_samples: int, rng_seed: int, workers: int
+    table: np.ndarray,
+    thresholds: _Thresholds,
+    n_samples: int,
+    rng_seed: int,
+    workers: int,
+    flips: bool = False,
 ) -> np.ndarray:
     """Counts of (table outcome, column) over ``n_samples`` rounds.
 
     Each chunk draws its Haar directions directly in frame coordinates: the
     measure is rotation invariant, so callers rotate their inputs into the
-    frame instead of rotating every sample.  ``classify(uniforms,
-    directions)`` maps the directions and one uniform per direction to cell
-    codes ``octant * n_cols + column``, an octant row of ``table`` and a
-    column below ``n_cols``.  The outcome depends on a direction only
-    through its octant and uses its own randomness, so the outcomes of each
-    (octant, column) cell are one exact multinomial draw from that octant's
-    row.
+    frame instead of rotating every sample.  ``thresholds`` maps each
+    direction and one uniform to a cell (octant, count), and the count is
+    the column, or with ``flips`` the parent's flip of ``u`` to ``-u``,
+    octant ``o`` to ``7 - o``, with one column.  The outcome depends on a
+    direction only through its octant and uses its own randomness, so the
+    outcomes of each (octant, column) cell are one exact multinomial draw
+    from that octant's row.
 
     A chunk of ``m`` samples reads its PCG64 stream at fixed offsets: the
     ``z`` at ``[0, m)``, azimuths at ``[m, 2m)``, uniforms at ``[2m, 3m)``
     and multinomials from ``3m``.  So it runs in blocks of ``_MC_BLOCK``
-    samples, with one block's arrays and the counts of one whole pass.
+    samples, with one block's arrays.  The samples the float32 filter
+    leaves undecided are kept and classified exactly once per chunk.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     rows = table[:, None, :]
+    n_codes = thresholds.n_codes
 
     def sampler(m: int, ss: np.random.SeedSequence) -> np.ndarray:
-        z_rng, phi_rng, u_rng, multinomial_rng = (
-            np.random.Generator(np.random.PCG64(ss).advance(k * m)) for k in range(4)
-        )
+        rngs = [np.random.Generator(np.random.PCG64(ss).advance(k * m)) for k in range(4)]
         size = min(m, _MC_BLOCK)
-        z, phi, uniforms = np.empty(size), np.empty(size), np.empty(size)
-        directions = np.empty((size, 3))
-        cells = np.zeros(8 * n_cols, dtype=np.intp)
+        draws = np.empty((3, size))
+        work = _Workspace(thresholds, size)
+        cells = np.zeros(n_codes + 1, dtype=np.intp)
+        held = []
         for start in range(0, m, _MC_BLOCK):
             b = min(_MC_BLOCK, m - start)
-            _directions(z_rng.random(out=z[:b]), phi_rng.random(out=phi[:b]), directions[:b])
-            codes = classify(u_rng.random(out=uniforms[:b]), directions[:b])
-            cells += np.bincount(codes, minlength=8 * n_cols)
-        return multinomial_rng.multinomial(cells.reshape(8, n_cols), rows).sum(axis=0).T
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row[:b])
+            codes, unsure = thresholds.estimate(draws[:, :b], work)
+            if unsure.size:
+                held.append(draws[:, unsure])
+            cells += np.bincount(codes, minlength=n_codes + 1)
+        if held:
+            codes = thresholds.exact(*np.concatenate(held, axis=1))
+            cells[:n_codes] += np.bincount(codes, minlength=n_codes)
+        cells = cells[:n_codes].reshape(8, thresholds.n_cols)
+        if flips:
+            cells = (cells[:, 0] + cells[::-1, 1])[:, None]
+        return rngs[3].multinomial(cells, rows).sum(axis=0).T
 
     sizes, seeds = _chunk_counts(n_samples, rng_seed)
+    n_cols = 1 if flips else thresholds.n_cols
     return _run_chunks(sampler, sizes, seeds, workers, (table.shape[1], n_cols))
 
 
@@ -347,19 +503,12 @@ def simulate_statistics(
     if frame is None:
         frame = find_frame(povm)
     cpt = build_table(povm, frame)
-    frame_state = state @ frame.rotation
-
-    def classify(uniforms: np.ndarray, u: np.ndarray) -> np.ndarray:
-        accept = u @ frame_state
-        accept += 1.0
-        accept *= 0.5
-        flip = uniforms >= accept
-        octants = _octants(u)
-        # o ^ 7 == 7 - o on 0..7; a uint8 mask is far cheaper than bool * 7.
-        octants ^= flip * np.uint8(7)
-        return octants
-
-    counts = _sample_table(cpt.table, 1, classify, n_samples, rng_seed, workers).ravel()
+    # The parent flips u when its accept weight (1 + u . s) / 2 is at or
+    # below the uniform: one threshold 1/2 + (s / 2) . u.
+    thresholds = _Thresholds((state @ frame.rotation / 2.0)[None, :], np.array([0.5]))
+    counts = _sample_table(
+        cpt.table, thresholds, n_samples, rng_seed, workers, flips=True
+    ).ravel()
     return SimulationReport(
         n_samples=n_samples,
         counts=counts,

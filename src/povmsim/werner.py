@@ -34,7 +34,7 @@ import numpy as np
 
 from .bloch import VALIDATION_ATOL, PauliOperator
 from .frames import FrameCertificate, find_frame
-from .jointmeas import ConditionalProbabilityTable, _octants, _sample_table, build_table
+from .jointmeas import ConditionalProbabilityTable, _sample_table, _Thresholds, build_table
 from .povm import QubitPovm, require_valid, require_visibility
 
 
@@ -105,25 +105,12 @@ class LhsModel:
         into the frame once; the last entry is 1 and is left out.
         ``workers`` below 1 raises ``ValueError``.
         """
-        n_b = self.bob.n_outcomes
         half = self.bob.weights / 2.0
         bob_dirs = self.bob.directions @ self.frame.rotation
         cdf_const = np.cumsum(half)[:-1]
         cdf_lin = np.cumsum(half[:, None] * bob_dirs, axis=0)[:-1]
-        # Bob's outcome is the number of CDF entries at or below the uniform,
-        # summed as bytes against ones of the smallest type that holds n_b - 1.
-        ones = np.ones(n_b - 1, dtype=np.min_scalar_type(n_b - 1))
-
-        def classify(uniforms: np.ndarray, lam: np.ndarray) -> np.ndarray:
-            cdf = lam @ cdf_lin.T
-            cdf += cdf_const
-            below = cdf <= uniforms[:, None]
-            code = _octants(lam)
-            code *= n_b
-            code += below.view(np.uint8) @ ones
-            return code
-
-        return _sample_table(self.table.table, n_b, classify, n_samples, rng_seed, workers)
+        thresholds = _Thresholds(cdf_lin, cdf_const)
+        return _sample_table(self.table.table, thresholds, n_samples, rng_seed, workers)
 
 
 def lhs_model(alice: QubitPovm, bob: QubitPovm) -> LhsModel:

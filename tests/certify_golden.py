@@ -10,7 +10,7 @@ family, so any drift in the last bit of a certificate shows, and names its
 family.
 
 The bytes depend on the numpy and BLAS build, so the golden file records
-the Python and numpy versions it was generated with.
+the Python and numpy versions and the BLAS build it was generated with.
 
 Regenerate only after an intended output change, and list the changed
 families in CHANGES.md::
@@ -151,7 +151,14 @@ def digest(name: str) -> tuple[int, str]:
 
 
 def versions() -> dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """Python, numpy and the BLAS build, whose kernels set the last bits."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = " ".join(str(blas.get("openblas configuration", blas.get("version", ""))).split())
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {build}".strip(),
+    }
 
 
 def record() -> dict:

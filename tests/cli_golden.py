@@ -8,7 +8,7 @@ random N --seed S --out``, or one of the ``BAD_FILES``; in stderr the path
 reads as its placeholder again.  The ``FAILURES`` pin the error exits.
 
 The bytes depend on the numpy and BLAS build, so the golden file records
-the Python and numpy versions it was generated with.
+the Python and numpy versions and the BLAS build it was generated with.
 
 Regenerate after an intended output change, and list the changed commands
 in CHANGES.md::
@@ -141,7 +141,14 @@ def run(argv: list[str], paths: dict[str, Path]) -> tuple[int, str, str]:
 
 
 def versions() -> dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """Python, numpy and the BLAS build, whose kernels set the last bits."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = " ".join(str(blas.get("openblas configuration", blas.get("version", ""))).split())
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {build}".strip(),
+    }
 
 
 def record(directory: Path) -> dict:

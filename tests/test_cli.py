@@ -60,7 +60,7 @@ class TestVerifyCommand:
         path = tmp_path / "diagonal.json"
         pair = [{"p": 1.0, "a": list(axis)}, {"p": 1.0, "a": list(-axis)}]
         path.write_text(json.dumps({"outcomes": pair}))
-        monkeypatch.setattr(frames, "_second_moment_frame", lambda povm: np.eye(3))
+        monkeypatch.setattr(frames, "_second_moment_frame", lambda povm: (np.eye(3), 0.0))
         code = main(["verify", "-p", str(path)])
         assert code == EXIT_FRAME
         captured = capsys.readouterr()

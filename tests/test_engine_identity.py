@@ -1,12 +1,16 @@
-"""The in-place sampling kernel reproduces the reference engine count for count.
+"""The sampling engine reproduces the reference engine count for count.
 
 ``tests/oracles.py`` keeps the engine as it was written out of place and
-runs its chunks serially; production runs the same chunk layout with the
-in-place draw, sign-bit octants, the XOR flip and the byte-matmul column
-count.  Every count must be equal, at block- and chunk-boundary sample
-sizes: a chunk reads its stream in blocks of ``_MC_BLOCK`` samples.  Workers
-only schedule chunks, so a run of one chunk is checked on one worker and a
-run of several on 1, 2 and 3.
+runs its chunks serially, in float64; production runs the same chunk layout
+through the float32 filter, with the float64 rule on the samples inside its
+guard band, once per chunk.  A decision of the filter is the float64
+rule's whatever the rounding of its dot products.  Those go through BLAS,
+whose row results can depend on the row count, so the two engines agree on
+a decision unless a uniform lies within an ulp of a threshold, about 2^-53
+per threshold per sample: every count must be equal here, at block- and
+chunk-boundary sample sizes (a chunk reads its stream in blocks of
+``_MC_BLOCK`` samples).  Workers only schedule chunks, so a run of one chunk
+is checked on one worker and a run of several on 1, 2 and 3.
 """
 
 import numpy as np

@@ -2,9 +2,10 @@
 
 Each worker's arrays are ``_MC_BLOCK`` rows long whatever the run's size,
 so the traced peak of a call stays under a fixed bound per worker: about
-0.6 MB for ``simulate_statistics`` and 2.6 MB for the hidden-state model at
-30 Bob outcomes, whose CDF block is ``_MC_BLOCK x 29`` doubles.  Whole-chunk
-arrays would take 6 MB and 37 MB per worker.
+1.45 MB for ``simulate_statistics`` and 3.3 MB for the hidden-state model at
+30 Bob outcomes, whose float32 threshold block is ``32 x _MC_BLOCK`` (29
+CDF rows and the three coordinates), measured at ``_MC_BLOCK = 2^14``.
+Whole-chunk arrays would take 6 MB and 37 MB per worker.
 """
 
 import tracemalloc

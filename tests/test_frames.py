@@ -218,7 +218,7 @@ class TestClosedFormFrame:
         assert evaluate_frame(povm, np.eye(3), check=False).max_value > 1.0 + FRAME_ATOL
         cert = find_frame(povm)
         assert cert.max_value <= 1.0 + FRAME_ATOL
-        np.testing.assert_array_equal(cert.rotation, _second_moment_frame(povm))
+        np.testing.assert_array_equal(cert.rotation, _second_moment_frame(povm)[0])
 
     def test_repeat_is_bit_identical(self):
         for seed in range(50):
@@ -231,11 +231,12 @@ class TestClosedFormFrame:
     def test_eigenframe_convention(self):
         for seed in range(50):
             povm = general_position_povm(4 + seed % 27, 4000 + seed)
-            rot = _second_moment_frame(povm)
+            rot, smallest = _second_moment_frame(povm)
             require_rotation(rot)
             moment = (povm.directions.T * povm.weights) @ povm.directions
             diag = rot.T @ moment @ rot
             np.testing.assert_allclose(diag, np.diag(np.diag(diag)), atol=1e-14)
+            assert abs(smallest - diag[0, 0]) <= 1e-14
             assert np.all(np.diff(np.diag(diag)) >= 0)
             pivots = rot[np.argmax(np.abs(rot), axis=0), range(3)]
             assert np.all(pivots[:2] > 0)
@@ -244,7 +245,7 @@ class TestClosedFormFrame:
         povm = near_projective_povm(6, 3)
         bad = random_rotations(1, np.random.default_rng(10))[0]
         assert evaluate_frame(povm, bad, check=False).max_value > 1.0 + FRAME_ATOL
-        monkeypatch.setattr(frames, "_second_moment_frame", lambda _: bad)
+        monkeypatch.setattr(frames, "_second_moment_frame", lambda _: (bad, 0.0))
         with pytest.raises(FrameNotFoundError):
             find_frame(povm)
 
@@ -298,7 +299,7 @@ class TestFrameBoundAcrossPovmSpace:
         for rot in random_rotations(1000, rng):
             povm = octahedral_povm(rot, rng)
             assert_certified(povm)
-            eigen = evaluate_frame(povm, _second_moment_frame(povm), check=False)
+            eigen = evaluate_frame(povm, _second_moment_frame(povm)[0], check=False)
             np.testing.assert_allclose(eigen.vertex_values, 1.0, atol=1e-12)
         signs = np.tile([1.0, -1.0], 3)[:, None]
         axes = QubitPovm(np.full(6, 1.0 / 3.0), np.repeat(np.eye(3), 2, axis=0) * signs)
@@ -379,8 +380,26 @@ class TestOneConstruction:
             if identity.max_value <= 1.0 + FRAME_ATOL:
                 expected = _IDENTITY_CUBE.rotation
             else:
-                expected = _second_moment_frame(povm)
+                expected, _ = _second_moment_frame(povm)
             np.testing.assert_array_equal(cert.rotation, expected)
+
+    def test_label_is_the_svd_rule(self):
+        # The label skips the SVD when eigh's smallest eigenvalue exceeds
+        # 1e-12; on every family it must still be the SVD rule's.
+        rng = np.random.default_rng(36)
+        povms = [general_position_povm(4 + k % 27, 62_000 + k) for k in range(300)]
+        povms += [random_povm(2 + k % 12, 63_000 + k) for k in range(300)]
+        povms += [near_projective_povm(3 + k % 8, 64_000 + k) for k in range(300)]
+        povms += [planar_povm(3 + k % 10, 65_000 + k) for k in range(300)]
+        povms += [near_coplanar_povm(rng) for _ in range(300)]
+        for povm in povms:
+            if povm.n_outcomes == 2:
+                expected = FrameMethod.TWO_OUTCOME_EXACT
+            elif smallest_sval(povm) < COPLANAR_SVAL:
+                expected = FrameMethod.COPLANAR_BISECTION
+            else:
+                expected = FrameMethod.MINIMAX_SEARCH
+            assert find_frame(povm).method is expected
 
 
 class TestSicUniversalFrame:

@@ -61,7 +61,7 @@ def test_eigenframe_determinant_sign():
         _, vecs = np.linalg.eigh((d.T * povm.weights) @ d)
         for basis in (vecs, vecs * [1.0, 1.0, -1.0]):
             assert (_det3(basis.tolist()) < 0) == (np.linalg.det(basis) < 0)
-        assert np.linalg.det(_second_moment_frame(povm)) > 0
+        assert np.linalg.det(_second_moment_frame(povm)[0]) > 0
 
 
 def validation_families():
