@@ -10,17 +10,13 @@ import json
 import numpy as np
 
 from povmsim import (
-    PauliOperator,
     QubitPovm,
     born,
     born_probabilities,
-    canonicalize,
-    eigen_rank1_split,
     noisy_element,
     povm_to_dict,
     random_povm,
     sic_povm,
-    to_dense,
     validate,
 )
 
@@ -41,18 +37,16 @@ print(f"\nnoisy SIC element 0 at eta=1/2: t={element.t}, w={element.w}")
 print(f"Born probability on the +z state: {born(element, [0, 0, 1])}")
 print("all outcomes on +z:", born_probabilities(good, [0, 0, 1], eta=0.5))
 
-# Any PSD decomposition of the identity canonicalises to rank-1 form.
-w = np.array([0.1, 0.05, -0.08])
-raw = [PauliOperator(0.3, w), PauliOperator(0.7, -w)]
-canonical, relabel = canonicalize(raw)
-print("\ncanonical weights:", np.round(canonical.weights, 4), "relabel:", relabel)
-d = sum(to_dense(canonical.element(k)) for k in range(canonical.n_outcomes))
-print("canonical pieces sum to identity:", np.allclose(d, np.eye(2)))
-
-# Rank-1 splits agree with dense eigenvalues.
-(p_hi, d_hi), (p_lo, d_lo) = eigen_rank1_split(raw[0])
-print(f"split weights {p_hi:.4f}/{p_lo:.4f} vs eigenvalues",
-      np.round(np.linalg.eigvalsh(to_dense(raw[0])), 4))
+# Any PSD decomposition of the identity, given as pairs (t, w) of
+# t I + w . sigma, has a rank-1 form in closed form: each pair gives the
+# outcomes (t + |w|, w / |w|) and (t - |w|, -w / |w|), its two eigenvalues.
+t = np.array([0.3, 0.7])
+w = np.array([[0.1, 0.05, -0.08], [-0.1, -0.05, 0.08]])
+norms = np.linalg.norm(w, axis=1)
+axes = w / norms[:, None]
+canonical = QubitPovm(np.concatenate([t + norms, t - norms]), np.concatenate([axes, -axes]))
+print("\ncanonical weights:", np.round(canonical.weights, 4))
+print("canonical outcomes sum to identity:", validate(canonical).passed)
 
 # Seeded generation and the JSON interchange format.
 povm = random_povm(5, rng_seed=2024)

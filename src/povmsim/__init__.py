@@ -11,14 +11,10 @@ from .bloch import (
     FRAME_ATOL,
     ROUND_OFF,
     VALIDATION_ATOL,
-    NotPositiveError,
     PauliOperator,
-    eigen_rank1_split,
-    is_psd,
     is_rotation,
     random_unit_vectors,
     rotation_from_euler_zyz,
-    to_dense,
 )
 from .frames import (
     OCTANT_LABELS,
@@ -53,7 +49,6 @@ from .povm import (
     QubitPovm,
     born,
     born_probabilities,
-    canonicalize,
     fixture_path,
     load_povm,
     noisy_element,
@@ -70,7 +65,6 @@ from .werner import (
     JointDistribution,
     LhsModel,
     bob_conditional_state,
-    chsh_correlator,
     chsh_optimal_settings,
     chsh_value,
     lhs_model,

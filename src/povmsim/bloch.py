@@ -7,8 +7,8 @@ Conventions used everywhere in this package:
 * a Hermitian qubit operator is stored in the Pauli basis as a pair
   ``(t, w)`` meaning ``t * I + w . sigma``.
 
-Dense 2x2 complex matrices are produced only by :func:`to_dense` and serve
-as oracles in tests; all production formulas are linear in ``(t, w)``.
+Every formula in this package is linear in ``(t, w)``; dense 2x2 matrices
+exist only as test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 # three rungs.  The README ("Tolerances") derives them.
 #
 # Round-off on an identity that holds exactly: a rotation's orthogonality,
-# t >= |w| for a PSD operator, noise weights that all vanish.  An outcome
-# lighter than this never fires and is dropped.
+# noise weights that all vanish.  An outcome lighter than this never fires
+# and is dropped.
 ROUND_OFF = 1e-12
 # The POVM invariants of an input, and the residuals of everything built
 # from it.  Looser than ROUND_OFF so POVMs parsed from decimal JSON pass.
@@ -32,18 +32,6 @@ VALIDATION_ATOL = 1e-10
 # them.  Input residuals at VALIDATION_ATOL move a vertex value by at most
 # about 2.4e-10 (``frames`` module docstring).
 FRAME_ATOL = 1e-9
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
-
-_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
-
-
-class NotPositiveError(ValueError):
-    """Raised when an operator required to be PSD has a negative eigenvalue."""
-
 
 def _det3(rows) -> float:
     """Determinant of a 3x3 matrix given as nested lists, by cofactors of the first row."""
@@ -144,49 +132,6 @@ class PauliOperator:
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
-    def __add__(self, other: "PauliOperator") -> "PauliOperator":
-        return PauliOperator(self.t + other.t, self.w + other.w)
-
-    def __sub__(self, other: "PauliOperator") -> "PauliOperator":
-        return PauliOperator(self.t - other.t, self.w - other.w)
-
-    def __mul__(self, scale: float) -> "PauliOperator":
-        return PauliOperator(self.t * scale, self.w * scale)
-
-    __rmul__ = __mul__
-
     def __repr__(self):  # pragma: no cover
         return f"PauliOperator(t={self.t!r}, w={self.w.tolist()!r})"
 
-    @property
-    def trace(self) -> float:
-        return 2.0 * self.t
-
-
-def to_dense(op: PauliOperator) -> np.ndarray:
-    """Explicit 2x2 complex matrix ``t * I + w . sigma`` (oracle path)."""
-    return op.t * ID2 + np.tensordot(op.w, _PAULIS, axes=1)
-
-
-def is_psd(op: PauliOperator) -> bool:
-    """A Pauli-basis operator is PSD exactly when t >= |w|."""
-    return op.t >= float(np.linalg.norm(op.w)) - ROUND_OFF
-
-
-def eigen_rank1_split(op: PauliOperator):
-    """Split a PSD operator into two weighted rank-1 projectors.
-
-    Returns ``((p_plus, d_plus), (p_minus, d_minus))`` where each piece is
-    the operator ``p * (I + d . sigma) / 2`` and the two pieces sum to the
-    input exactly.  The weights are the eigenvalues ``t +/- |w|``.  An
-    isotropic operator (|w| ~ 0) has no preferred axis; by convention it is
-    split along +z / -z.
-    """
-    wnorm = float(np.linalg.norm(op.w))
-    if op.t < wnorm - ROUND_OFF:
-        raise NotPositiveError(f"operator not PSD: t={op.t}, |w|={wnorm}")
-    if wnorm <= 1e-14:
-        axis = np.array([0.0, 0.0, 1.0])
-        return (op.t, axis), (op.t, -axis)
-    axis = op.w / wnorm
-    return (op.t + wnorm, axis), (op.t - wnorm, -axis)

@@ -9,10 +9,11 @@ Subcommands::
     povmsim random  N --seed S --out FILE        generate a random POVM file
 
 Exit codes: 0 success, 1 verification/statistics failure, 2 parse or
-validation error, 3 internal failure: a frame that does not certify or was
-certified for another POVM, or a non-finite value in a report (printed
-neither as JSON nor as CSV; stdout stays empty).  All stochastic paths are
-seeded, so a repeated invocation produces byte-identical output.
+validation error, 3 internal failure: a frame that is not a rotation, does
+not certify or was certified for another POVM, or a non-finite value in a
+report (printed neither as JSON nor as CSV; stdout stays empty).  All
+stochastic paths are seeded, so a repeated invocation produces
+byte-identical output.
 """
 
 from __future__ import annotations

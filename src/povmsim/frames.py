@@ -215,16 +215,19 @@ def find_frame(povm: QubitPovm) -> FrameCertificate:
     certificate's ``method`` labels the class of the POVM (see
     :class:`FrameMethod`).
 
-    Raises :class:`FrameNotFoundError` if the eigenframe's eight
-    re-evaluated vertex values fail the check, which signals an internal
-    numerical failure since a valid frame always exists.
+    Raises :class:`FrameNotFoundError` if the eigenframe is not a proper
+    rotation or its eight re-evaluated vertex values fail the check, which
+    signals an internal numerical failure since a valid frame always exists.
     """
     require_valid(povm)
     cert = _certificate(povm, _IDENTITY_CUBE, FrameMethod.MINIMAX_SEARCH)
     smallest = None
     if cert.max_value > 1.0 + FRAME_ATOL:
         rotation, smallest = _second_moment_frame(povm)
-        cube = CubeVertices.from_rotation(rotation)
+        try:
+            cube = CubeVertices.from_rotation(rotation)
+        except ValueError as exc:
+            raise FrameNotFoundError(f"eigenframe: {exc}") from exc
         cert = _certificate(povm, cube, FrameMethod.MINIMAX_SEARCH)
     method = _label(povm, smallest)
     if method is not cert.method:

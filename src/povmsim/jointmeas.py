@@ -30,8 +30,12 @@ measurement's accept/flip, or Bob's inverse CDF), and from ``3m`` on one
 multinomial per octant row or (octant, Bob outcome) cell.  So the chunk
 runs in blocks of ``_MC_BLOCK`` samples, reading each block's slice of
 the first three ranges.  Every buffer belongs to one chunk and holds one
-block: engine memory is O(block x workers), not O(chunk x workers x Bob
-outcomes).  No buffer is kept between chunks or shared between threads.
+block, not one chunk.  The filter's output buffer holds ``k + 3`` float32
+rows of a block, for ``k`` thresholds and ``x``, ``y``, ``z``: ``n_b + 2``
+for a Bob POVM of ``n_b`` outcomes.  So the hidden-state model's engine
+memory is O(block x workers x n_b), not O(block x workers); item 17 of
+``ROADMAP.md`` plans a bound for every ``n_b``.  No buffer is kept
+between chunks or shared between threads.
 
 One decision rule serves both samplers: ``k`` linear thresholds ``T_j(u) =
 c_j + w_j . u`` on the frame direction ``u``, compared with the sample's

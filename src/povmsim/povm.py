@@ -20,18 +20,10 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .bloch import (
-    ROUND_OFF,
-    VALIDATION_ATOL,
-    PauliOperator,
-    eigen_rank1_split,
-    is_psd,
-    random_unit_vectors,
-)
+from .bloch import ROUND_OFF, VALIDATION_ATOL, PauliOperator, random_unit_vectors
 
 # Draws random_povm makes before it gives up.
 _MAX_RETRIES = 1000
@@ -201,38 +193,39 @@ def born_probabilities(povm: QubitPovm, state_bloch, eta: float = 1.0) -> np.nda
     return povm.weights / 2.0 * (1.0 + eta * povm.directions @ x)
 
 
-def canonicalize(raw: Sequence[PauliOperator]) -> tuple[QubitPovm, list[int]]:
-    """Split arbitrary PSD operators summing to the identity into rank-1 form.
+_Z = np.array([0.0, 0.0, 1.0])
 
-    Returns the rank-1 POVM and the relabelling map: entry ``k`` is the
-    index of the original operator that canonical outcome ``k`` coarse-grains
-    back to.  Pieces below ``ROUND_OFF`` are dropped.
+
+def _rank1_outcomes(w: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and directions of the drawn pieces and their deficit, in rank-1 form.
+
+    The operators are ``t I + v . sigma`` with ``(t, v) = (w_k / 2, w_k d_k /
+    2)`` for each drawn piece, then the deficit ``(1 - sum_k w_k / 2,
+    -sum_k w_k d_k / 2)``.  Each contributes ``t + |v|`` along ``v / |v|``
+    and ``t - |v|`` along ``-v / |v|``, or ``t`` along ``+z`` and ``-z``
+    when ``|v| <= 1e-14``; a piece lighter than ``ROUND_OFF`` is dropped.
     """
-    total_t = sum(op.t for op in raw)
-    total_w = np.sum([op.w for op in raw], axis=0)
-    if abs(total_t - 1.0) > VALIDATION_ATOL or np.linalg.norm(total_w) > VALIDATION_ATOL:
-        raise NotAPovmError("operators do not sum to the identity")
-    weights, directions, relabel = [], [], []
-    for idx, op in enumerate(raw):
-        if not is_psd(op):
-            raise NotAPovmError(f"element {idx} is not positive semidefinite")
-        for p, axis in eigen_rank1_split(op):
-            if p < ROUND_OFF:
-                continue
-            weights.append(p)
-            directions.append(axis)
-            relabel.append(idx)
-    povm = QubitPovm(np.array(weights), np.array(directions))
-    return require_valid(povm), relabel
+    ts = np.append(w / 2.0, 1.0 - w.sum() / 2.0).tolist()
+    vs = np.vstack([w[:, None] * dirs / 2.0, -(w @ dirs) / 2.0])
+    weights, directions = [], []
+    for t, v in zip(ts, vs):
+        norm = float(np.linalg.norm(v))
+        norm, axis = (norm, v / norm) if norm > 1e-14 else (0.0, _Z)
+        for p, a in ((t + norm, axis), (t - norm, -axis)):
+            if p >= ROUND_OFF:
+                weights.append(p)
+                directions.append(a)
+    return np.array(weights), np.array(directions)
 
 
 def random_povm(n_outcomes: int, rng_seed: int) -> QubitPovm:
     """Random valid POVM with exactly ``n_outcomes`` outcomes.
 
     Draws ``n - 2`` weighted Haar directions, then closes the sum to the
-    identity by appending the deficit operator, whose rank-1 split supplies
-    the final two outcomes.  The sampled weights are rescaled so the deficit
-    stays strictly PSD.  Deterministic for a given seed.
+    identity with the deficit operator ``t I + u . sigma``, whose two
+    outcomes are ``(t + |u|, u / |u|)`` and ``(t - |u|, -u / |u|)``.  The
+    sampled weights are rescaled so that ``t - |u|`` stays clearly
+    positive.  Deterministic for a given seed.
 
     The deficit's axis lies in the span of the drawn directions, so every
     3-outcome POVM is collinear and every 4-outcome POVM coplanar; only from
@@ -257,12 +250,8 @@ def random_povm(n_outcomes: int, rng_seed: int) -> QubitPovm:
             # so both deficit eigenvalues stay clearly positive.
             cap = 2.0 / (w.sum() + np.linalg.norm(w @ dirs))
             scale = cap * (0.3 + 0.65 * rng.random())
-            w = scale * w
-            deficit = PauliOperator(1.0 - w.sum() / 2.0, -(w @ dirs) / 2.0)
-            ops = [PauliOperator(w[k] / 2.0, w[k] * dirs[k] / 2.0) for k in range(m)]
-            try:
-                povm, _ = canonicalize(ops + [deficit])
-            except NotAPovmError:
+            povm = QubitPovm(*_rank1_outcomes(scale * w, dirs))
+            if not validate(povm).passed:
                 continue
         if povm.n_outcomes != n_outcomes:
             continue

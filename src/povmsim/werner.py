@@ -151,21 +151,14 @@ def _unit_setting(x) -> np.ndarray:
     return x
 
 
-def chsh_correlator(u, v, eta: float) -> float:
-    """Correlator ``E = -eta u . v`` of sharp measurements along unit ``u``, ``v``.
-
-    Closed form of the sign-weighted Werner table, which the tests check; a
-    setting that is not a finite unit vector raises ``ValueError``.
-    """
-    u, v = _unit_setting(u), _unit_setting(v)
-    return -require_visibility(eta) * float(u @ v)
-
-
 def chsh_value(a, a_prime, b, b_prime, eta: float) -> float:
     """CHSH combination |E(a,b) + E(a,b') + E(a',b) - E(a',b')| at visibility eta.
 
-    Each setting and ``eta`` is checked once, as :func:`chsh_correlator`
-    checks them, and each term is its ``-eta u . v``.
+    Each term is the correlator ``E(u, v) = -eta u . v`` of sharp
+    measurements along unit ``u`` and ``v``, the closed form of the
+    sign-weighted Werner table, which the tests check.  A setting that is
+    not a finite unit vector, or ``eta`` outside ``[0, 1]``, raises
+    ``ValueError``.
     """
     a, a_prime, b, b_prime = (_unit_setting(x) for x in (a, a_prime, b, b_prime))
     eta = require_visibility(eta)

@@ -3,9 +3,15 @@
 Production computes every quantity in closed form; these evaluate the same
 quantities along independent routes, so tests can compare the two:
 
+* ``to_dense``, the explicit 2x2 complex matrix of a ``(t, w)`` operator,
+  with the Pauli matrices;
 * dense 4x4 Werner oracles for ``povmsim.werner``: the state and the tensor
   traces for ``p(i, j) = (p_i q_j / 4)(1 - eta a_i . b_j)`` and
   ``E(u, v) = -eta u . v``;
+* the operator route of ``random_povm``: ``canonicalize``, which splits PSD
+  operators summing to the identity into rank-1 form by ``is_psd`` and
+  ``eigen_rank1_split``, and ``random_povm_operator_route``, whose weights
+  and directions the closed form must match byte for byte;
 * spherical quadrature of the octant operators ``I/8 + v_s . sigma / 16``;
 * the absolute-value form of the projection mass and the four cube-vertex
   identities behind the frame bounds;
@@ -34,9 +40,9 @@ import numpy as np
 from povmsim.bloch import (
     FRAME_ATOL,
     ROUND_OFF,
+    VALIDATION_ATOL,
     PauliOperator,
     random_unit_vectors,
-    to_dense,
 )
 from povmsim.frames import (
     OCTANT_SIGNS,
@@ -49,12 +55,30 @@ from povmsim.frames import (
 )
 from povmsim.jointmeas import _MC_CHUNK, build_table
 from povmsim.povm import (
+    _MAX_RETRIES,
+    GenerationFailedError,
+    NotAPovmError,
     PovmValidation,
     QubitPovm,
     povm_to_dict,
     projective_povm,
+    require_valid,
     require_visibility,
+    validate,
 )
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+ID2 = np.eye(2, dtype=complex)
+
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+
+
+def to_dense(op: PauliOperator) -> np.ndarray:
+    """Explicit 2x2 complex matrix ``t * I + w . sigma`` (oracle path)."""
+    return op.t * ID2 + np.tensordot(op.w, _PAULIS, axes=1)
+
 
 # |psi-> = (|01> - |10>) / sqrt(2), basis order |00>, |01>, |10>, |11>.
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -84,6 +108,89 @@ def chsh_correlator_dense(u, v, eta: float) -> float:
     joint = werner_joint_dense(projective_povm(u), projective_povm(v), eta)
     signs = np.array([1.0, -1.0])
     return float(signs @ joint @ signs)
+
+
+# ---------------------------------------------------------------------------
+# The operator route of random_povm: build the PSD operators, split each.
+
+
+def is_psd(op: PauliOperator) -> bool:
+    """A Pauli-basis operator is PSD exactly when t >= |w|."""
+    return op.t >= float(np.linalg.norm(op.w)) - ROUND_OFF
+
+
+def eigen_rank1_split(op: PauliOperator):
+    """Split a PSD operator into two weighted rank-1 projectors.
+
+    Returns ``((p_plus, d_plus), (p_minus, d_minus))`` where each piece is
+    the operator ``p * (I + d . sigma) / 2`` and the two pieces sum to the
+    input exactly.  The weights are the eigenvalues ``t +/- |w|``.  An
+    isotropic operator (|w| ~ 0) has no preferred axis; by convention it is
+    split along +z / -z.  A non-PSD operator raises ``ValueError``.
+    """
+    wnorm = float(np.linalg.norm(op.w))
+    if op.t < wnorm - ROUND_OFF:
+        raise ValueError(f"operator not PSD: t={op.t}, |w|={wnorm}")
+    if wnorm <= 1e-14:
+        axis = np.array([0.0, 0.0, 1.0])
+        return (op.t, axis), (op.t, -axis)
+    axis = op.w / wnorm
+    return (op.t + wnorm, axis), (op.t - wnorm, -axis)
+
+
+def canonicalize(raw) -> tuple[QubitPovm, list[int]]:
+    """Split arbitrary PSD operators summing to the identity into rank-1 form.
+
+    Returns the rank-1 POVM and the relabelling map: entry ``k`` is the
+    index of the original operator that canonical outcome ``k`` coarse-grains
+    back to.  Pieces below ``ROUND_OFF`` are dropped.
+    """
+    total_t = sum(op.t for op in raw)
+    total_w = np.sum([op.w for op in raw], axis=0)
+    if abs(total_t - 1.0) > VALIDATION_ATOL or np.linalg.norm(total_w) > VALIDATION_ATOL:
+        raise NotAPovmError("operators do not sum to the identity")
+    weights, directions, relabel = [], [], []
+    for idx, op in enumerate(raw):
+        if not is_psd(op):
+            raise NotAPovmError(f"element {idx} is not positive semidefinite")
+        for p, axis in eigen_rank1_split(op):
+            if p < ROUND_OFF:
+                continue
+            weights.append(p)
+            directions.append(axis)
+            relabel.append(idx)
+    povm = QubitPovm(np.array(weights), np.array(directions))
+    return require_valid(povm), relabel
+
+
+def random_povm_operator_route(n_outcomes: int, rng_seed: int) -> QubitPovm:
+    """``random_povm`` with its deficit split through ``canonicalize``."""
+    if n_outcomes < 2:
+        raise ValueError("a POVM needs at least 2 outcomes")
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(_MAX_RETRIES):
+        if n_outcomes == 2:
+            axis = random_unit_vectors(1, rng)[0]
+            povm = QubitPovm(np.array([1.0, 1.0]), np.array([axis, -axis]))
+        else:
+            m = n_outcomes - 2
+            dirs = random_unit_vectors(m, rng)
+            w = 0.2 + 0.8 * rng.random(m)
+            cap = 2.0 / (w.sum() + np.linalg.norm(w @ dirs))
+            scale = cap * (0.3 + 0.65 * rng.random())
+            w = scale * w
+            deficit = PauliOperator(1.0 - w.sum() / 2.0, -(w @ dirs) / 2.0)
+            ops = [PauliOperator(w[k] / 2.0, w[k] * dirs[k] / 2.0) for k in range(m)]
+            try:
+                povm, _ = canonicalize(ops + [deficit])
+            except NotAPovmError:
+                continue
+        if povm.n_outcomes != n_outcomes:
+            continue
+        povm = QubitPovm(povm.weights * (2.0 / povm.weights.sum()), povm.directions)
+        if validate(povm).passed:
+            return povm
+    raise GenerationFailedError(f"could not generate a {n_outcomes}-outcome POVM")
 
 
 def rotate(rotation, v):

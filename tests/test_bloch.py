@@ -2,17 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import random_rotations, rotate
+from oracles import eigen_rank1_split, is_psd, random_rotations, rotate, to_dense
 
-from povmsim.bloch import (
-    NotPositiveError,
-    PauliOperator,
-    eigen_rank1_split,
-    is_psd,
-    is_rotation,
-    rotation_from_euler_zyz,
-    to_dense,
-)
+from povmsim.bloch import PauliOperator, is_rotation, rotation_from_euler_zyz
 
 angles3 = st.tuples(
     st.floats(0, 2 * np.pi), st.floats(0, np.pi), st.floats(0, 2 * np.pi)
@@ -92,17 +84,19 @@ class TestDenseConversion:
     def test_additivity(self, t1, t2, w1, w2):
         a = PauliOperator(t1, w1)
         b = PauliOperator(t2, w2)
-        np.testing.assert_allclose(to_dense(a + b), to_dense(a) + to_dense(b), atol=1e-14)
+        total = PauliOperator(a.t + b.t, a.w + b.w)
+        np.testing.assert_allclose(to_dense(total), to_dense(a) + to_dense(b), atol=1e-14)
 
     def test_trace_is_twice_t(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             op = PauliOperator(rng.standard_normal(), rng.standard_normal(3))
             assert abs(np.trace(to_dense(op)).real - 2 * op.t) <= 1e-14
-            assert abs(op.trace - 2 * op.t) <= 1e-15
 
 
 class TestEigenSplit:
+    """The test-side split behind the reference that ``random_povm`` must match."""
+
     def test_degenerate_splits_along_z(self):
         (p_plus, d_plus), (p_minus, d_minus) = eigen_rank1_split(
             PauliOperator(0.5, np.zeros(3))
@@ -134,12 +128,11 @@ class TestEigenSplit:
             t = np.linalg.norm(w) + rng.random()
             op = PauliOperator(t, w)
             (p1, d1), (p2, d2) = eigen_rank1_split(op)
-            total = PauliOperator(p1 / 2, p1 * d1 / 2) + PauliOperator(p2 / 2, p2 * d2 / 2)
-            assert abs(total.t - op.t) <= 1e-12
-            np.testing.assert_allclose(total.w, op.w, atol=1e-12)
+            assert abs((p1 + p2) / 2 - op.t) <= 1e-12
+            np.testing.assert_allclose((p1 * d1 + p2 * d2) / 2, op.w, atol=1e-12)
             assert p1 >= -1e-12 and p2 >= -1e-12
 
     def test_rejects_non_psd(self):
         assert not is_psd(PauliOperator(0.1, [0.0, 0.0, 0.5]))
-        with pytest.raises(NotPositiveError):
+        with pytest.raises(ValueError, match="not PSD"):
             eigen_rank1_split(PauliOperator(0.1, [0.0, 0.0, 0.5]))

@@ -67,6 +67,19 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert "TwoOutcomeExact frame does not certify" in captured.err
 
+    def test_eigenframe_not_a_rotation_exits_3(self, monkeypatch, capsys, tmp_path):
+        # random 6 --seed 3 fails the identity, so find_frame builds the
+        # eigenframe; one that is not a rotation is a program fault.
+        path = tmp_path / "random.json"
+        assert main(["random", "6", "--seed", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(frames, "_second_moment_frame", lambda povm: (2.0 * np.eye(3), 0.0))
+        code = main(["verify", "-p", str(path)])
+        assert code == EXIT_FRAME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eigenframe: matrix is not a proper rotation" in captured.err
+
     def test_frame_of_another_povm_exits_3(self, monkeypatch, capsys):
         # InvalidFrameError is a ValueError, but the CLI builds its frames
         # itself: a frame of the wrong POVM is a program fault, not bad input.

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from oracles import evaluate_frame, octant_operators_quadrature, random_rotations
+from oracles import evaluate_frame, octant_operators_quadrature, random_rotations, to_dense
 
-from povmsim.bloch import PauliOperator, random_unit_vectors, to_dense
+from povmsim.bloch import PauliOperator, random_unit_vectors
 from povmsim.frames import find_frame
 from povmsim.jointmeas import (
     InvalidFrameError,
@@ -52,9 +52,9 @@ class TestOctantOperators:
             assert abs(total_t - 1.0) <= 1e-14
             assert np.max(np.abs(total_w)) <= 1e-14
             for k in range(4):
-                pair = ops[k].operator + ops[7 - k].operator
-                assert abs(pair.t - 0.25) <= 1e-14
-                assert np.max(np.abs(pair.w)) <= 1e-14
+                a, b = ops[k].operator, ops[7 - k].operator
+                assert abs(a.t + b.t - 0.25) <= 1e-14
+                assert np.max(np.abs(a.w + b.w)) <= 1e-14
 
     def test_quadrature_matches_closed_form(self, sic_frame):
         _, frame = sic_frame

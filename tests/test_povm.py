@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from oracles import save_povm
+from oracles import canonicalize, random_povm_operator_route, save_povm, to_dense
 
 from povmsim import povm as povm_module
-from povmsim.bloch import PauliOperator, to_dense
+from povmsim.bloch import PauliOperator
 from povmsim.cli import EXIT_INPUT, main
 from povmsim.frames import find_frame
 from povmsim.povm import (
@@ -14,7 +14,6 @@ from povmsim.povm import (
     QubitPovm,
     born,
     born_probabilities,
-    canonicalize,
     load_povm,
     noisy_element,
     povm_from_dict,
@@ -166,11 +165,9 @@ class TestNoisyElement:
         for seed in range(30):
             povm = random_povm(2 + seed % 7, seed)
             eta = rng.random()
-            total = PauliOperator(0.0, np.zeros(3))
-            for i in range(povm.n_outcomes):
-                total = total + noisy_element(povm, i, eta)
-            assert abs(total.t - 1.0) <= 1e-12
-            assert np.max(np.abs(total.w)) <= 1e-12
+            elements = [noisy_element(povm, i, eta) for i in range(povm.n_outcomes)]
+            assert abs(sum(op.t for op in elements) - 1.0) <= 1e-12
+            assert np.max(np.abs(sum(op.w for op in elements))) <= 1e-12
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -293,6 +290,26 @@ class TestRandomPovm:
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.directions, b.directions)
 
+    def test_closed_form_matches_operator_route_bytes(self):
+        for n in range(2, 41):
+            for seed in range(20):
+                new, old = random_povm(n, seed), random_povm_operator_route(n, seed)
+                assert new.weights.tobytes() == old.weights.tobytes(), (n, seed)
+                assert new.directions.tobytes() == old.directions.tobytes(), (n, seed)
+
+    def test_balanced_draws_split_the_deficit_along_z(self):
+        # No seed draws w @ dirs = 0; an antipodal pair does.
+        x = np.array([1.0, 0.0, 0.0])
+        for w in (0.5, 0.8):
+            weights, dirs = povm_module._rank1_outcomes(np.array([w, w]), np.array([x, -x]))
+            np.testing.assert_array_equal(weights, [w, w, 1.0 - w, 1.0 - w])
+            np.testing.assert_array_equal(dirs, [x, -x, [0, 0, 1], [0, 0, -1]])
+            ops = [PauliOperator(w / 2, w * x / 2), PauliOperator(w / 2, -w * x / 2),
+                   PauliOperator(1.0 - w, np.zeros(3))]
+            reference, _ = canonicalize(ops)
+            assert weights.tobytes() == reference.weights.tobytes()
+            assert dirs.tobytes() == reference.directions.tobytes()
+
 
 class TestJsonFormat:
     def test_round_trip(self, tmp_path):
@@ -342,11 +359,11 @@ def test_xz_four_outcome_parent_is_valid_and_marginalises_exactly():
         for sign in (1, -1):
             target = noisy_element(projective_povm(sign * axis), 0, s)
             group = [k for k, ij in enumerate(pairs) if ij[component] == sign]
-            total = PauliOperator(0.0, np.zeros(3))
+            total_t, total_w = 0.0, np.zeros(3)
             for k in group:
-                total = total + povm.element(k)
-            assert total.t == target.t
-            assert np.array_equal(total.w, target.w)
+                total_t, total_w = total_t + povm.element(k).t, total_w + povm.element(k).w
+            assert total_t == target.t
+            assert np.array_equal(total_w, target.w)
 
 
 def test_xz_parent_survives_canonicalisation():

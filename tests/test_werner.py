@@ -6,18 +6,17 @@ from oracles import (
     chsh_correlator_dense,
     evaluate_frame,
     random_rotations,
+    to_dense,
     werner_dense,
     werner_joint_dense,
 )
 
-from povmsim.bloch import PauliOperator, to_dense
 from povmsim.jointmeas import build_table
 from povmsim.povm import projective_povm, random_povm, sic_povm, trine_povm
 from povmsim.stats import chi_squared_test
 from povmsim.werner import (
     LhsModel,
     bob_conditional_state,
-    chsh_correlator,
     chsh_optimal_settings,
     chsh_value,
     lhs_model,
@@ -126,16 +125,16 @@ class TestHiddenStateModel:
         for seed in range(20):
             alice = random_povm(2 + seed % 7, 5000 + seed)
             model = lhs_model(alice, sic_povm())
-            total = PauliOperator(0.0, np.zeros(3))
+            total_t, total_w = 0.0, np.zeros(3)
             for i in range(alice.n_outcomes):
                 state = bob_conditional_state(model.table, i)
                 p, a = alice.weights[i], alice.directions[i]
                 assert state.t == pytest.approx(p / 4.0, abs=1e-12)
                 np.testing.assert_allclose(state.w, -p * a / 8.0, atol=1e-12)
-                total = total + state
+                total_t, total_w = total_t + state.t, total_w + state.w
             # Unconditioned, Bob holds the maximally mixed state.
-            assert total.t == pytest.approx(0.5, abs=1e-12)
-            np.testing.assert_allclose(total.w, 0.0, atol=1e-12)
+            assert total_t == pytest.approx(0.5, abs=1e-12)
+            np.testing.assert_allclose(total_w, 0.0, atol=1e-12)
 
     def test_bob_state_matches_dense_partial_trace(self):
         alice = sic_povm()
@@ -230,13 +229,15 @@ class TestChsh:
         for eta in rng.random(10):
             assert chsh_value(*settings, eta) == pytest.approx(eta * base, abs=1e-12)
 
+    # With a' = a and b' = b, chsh_value is |E + E + E - E| = 2 |E(u, v)|.
+
     def test_correlator_closed_form(self):
         rng = np.random.default_rng(4)
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        assert chsh_correlator(u, v, 0.8) == pytest.approx(-0.8 * u @ v, abs=1e-14)
+        assert chsh_value(u, u, v, v, 0.8) == pytest.approx(2.0 * abs(0.8 * u @ v), abs=1e-14)
 
     def test_correlator_matches_dense_table(self):
         rng = np.random.default_rng(12)
@@ -247,7 +248,14 @@ class TestChsh:
             pairs.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
         etas = np.concatenate([[0.0, 0.5, 1.0 / np.sqrt(2.0), 1.0], rng.random(196)])
         for (u, v), eta in zip(pairs, etas):
-            assert abs(chsh_correlator(u, v, eta) - chsh_correlator_dense(u, v, eta)) <= 1e-12
+            dense = 2.0 * abs(chsh_correlator_dense(u, v, eta))
+            assert abs(chsh_value(u, u, v, v, eta) - dense) <= 1e-12
+        for eta in etas[:4]:
+            ab, ab_prime, a_prime_b, a_prime_b_prime = (
+                chsh_correlator_dense(u, v, eta) for u, v in pairs[:4]
+            )
+            dense = abs(ab + ab_prime + a_prime_b - a_prime_b_prime)
+            assert abs(chsh_value(a, a_prime, b, b_prime, eta) - dense) <= 1e-12
 
     @pytest.mark.parametrize(
         "setting",
@@ -258,15 +266,18 @@ class TestChsh:
         z = [0.0, 0.0, 1.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError):
-                chsh_correlator(setting, z, 0.5)
-            with pytest.raises(ValueError):
-                chsh_correlator(z, setting, 0.5)
+            for k in range(4):
+                settings = [z, z, z, z]
+                settings[k] = setting
+                with pytest.raises(ValueError):
+                    chsh_value(*settings, 0.5)
 
     def test_correlator_accepts_settings_within_tolerance(self):
         u = np.array([0.0, 0.0, 1.0 + 5e-11])
-        assert chsh_correlator(u, [0.0, 0.0, 1.0], 1.0) == -(1.0 + 5e-11)
+        z = [0.0, 0.0, 1.0]
+        # Every term is E = -(1 + 5e-11): the setting is used as given.
+        assert chsh_value(u, u, z, z, 1.0) == pytest.approx(2.0 * (1.0 + 5e-11), abs=1e-15)
 
     def test_correlator_rejects_visibility_out_of_range(self):
         with pytest.raises(ValueError):
-            chsh_correlator([0, 0, 1], [0, 0, 1], 1.5)
+            chsh_value([0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1], 1.5)
