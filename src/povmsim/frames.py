@@ -32,16 +32,11 @@ weight-sum residual ``e_w`` and unit-norm residual ``e_n`` enter through
 bound of step 3 to about ``1 + e_w / 2 + e_n``, at most 1 + 1.5e-10.  With
 the round-off of ``eigh`` the total stays below ``FRAME_ATOL = 1e-9``, the
 slack every certificate is checked against.
-
-:func:`find_frame` tries the identity, then the eigenframe of ``M``, for
-every POVM: two-outcome (``M`` of rank 1) and coplanar (rank 2) ones
-included.  Each certificate carries its POVM and ``8 x n`` matrix
-``max(v_s . a_i, 0)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -99,12 +94,12 @@ class CubeVertices:
 
     @classmethod
     def from_rotation(cls, rotation) -> "CubeVertices":
-        rotation = require_rotation(np.asarray(rotation, dtype=float))
+        rotation = require_rotation(rotation)
         verts = np.empty((8, 3))
-        verts[:4] = OCTANT_SIGNS[:4] @ rotation.T
+        np.matmul(OCTANT_SIGNS[:4], rotation.T, out=verts[:4])
         # Store antipodes as exact negations so the pairing v_{-s} = -v_s
         # holds bit for bit.
-        verts[4:] = -verts[:4][::-1]
+        np.negative(verts[3::-1], out=verts[4:])
         verts.setflags(write=False)
         rot = rotation.copy()
         rot.setflags(write=False)
@@ -155,44 +150,52 @@ class FrameCertificate:
         }
 
 
-def _certificate(povm: QubitPovm, cube: CubeVertices, method: FrameMethod) -> FrameCertificate:
+def _evaluate(povm: QubitPovm, cube: CubeVertices) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ``8 x n`` matrix ``max(v_s . a_i, 0)``, the eight vertex values and their maximum."""
     projections = cube.vertices @ povm.directions.T
     np.maximum(projections, 0.0, out=projections)
     values = projections @ povm.weights
-    projections.setflags(write=False)
-    values.setflags(write=False)
-    return FrameCertificate(cube, values, float(values.max()), method, povm, projections)
+    return projections, values, max(values.tolist())
 
 
 def _second_moment_frame(povm: QubitPovm) -> tuple[np.ndarray, float]:
     """Eigenbasis of ``M = sum_i p_i a_i a_i^T`` as a rotation, and ``M``'s smallest eigenvalue.
 
     The rotation is deterministic: columns follow ascending eigenvalues, the
-    largest-magnitude entry of each column is positive, and the last column
-    is negated if needed to make the determinant +1.
+    first largest-magnitude entry of each column is positive, and the last
+    column is negated if needed to make the determinant +1 (in Python
+    floats).  It is in C order, as ``eigh`` gives it, for the vertex product.
     """
     d = povm.directions
     values, vecs = np.linalg.eigh((d.T * povm.weights) @ d)
-    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(3)]
-    vecs = vecs * np.where(pivots < 0, -1.0, 1.0)
-    if _det3(vecs.tolist()) < 0:
-        vecs[:, 2] = -vecs[:, 2]
-    return vecs, float(values[0])
+    columns = []
+    for column in vecs.T.tolist():
+        sizes = list(map(abs, column))
+        columns.append([-x for x in column] if column[sizes.index(max(sizes))] < 0 else column)
+    # det R = det R^T, and |det R| is 1 to round-off, so its sign is exact.
+    if _det3(columns) < 0:
+        columns[2] = [-x for x in columns[2]]
+    return np.array(columns).T.copy(), float(values[0])
 
 
-def _label(povm: QubitPovm, smallest_eigenvalue: float | None) -> FrameMethod:
-    """The :class:`FrameMethod` of ``povm``, without an SVD where ``eigh`` decides it.
+def _label(povm: QubitPovm, eigenframe: tuple[np.ndarray, float] | None) -> FrameMethod:
+    """The :class:`FrameMethod` of ``povm``; the SVD runs only where no bound decides it.
 
-    ``M = D^T W D`` for the direction matrix ``D`` and weights ``W``, so
-    ``lambda_min(M) <= w_max sigma_min(D)^2``, and a valid POVM has ``w_max
-    <= 2 + 1e-10``.  An eigenvalue above ``1e-12`` (``eigh`` is accurate to
-    about 1e-15 here) proves ``sigma_min(D) > 7e-7``, far above
-    ``COPLANAR_SVAL``: the label is ``MinimaxSearch``, as the SVD would say.
+    ``M = D^T W D`` for the direction matrix ``D``, and ``w_max <= 2 + 1e-10``:
+    an eigenvalue above ``1e-12`` (``eigh`` is accurate to about 1e-15 here)
+    proves ``sigma_min(D) > 7e-7``.  For its eigenvector ``e``, unit to 1e-12,
+    ``|D e|^2 < 1e-24`` proves ``sigma_min(D) < 1e-12 + 4e-16 sqrt(n)``.  Both
+    lie far from ``COPLANAR_SVAL``, on the side the SVD takes.
     """
     if povm.n_outcomes == 2:
         return FrameMethod.TWO_OUTCOME_EXACT
-    if smallest_eigenvalue is not None and smallest_eigenvalue > 1e-12:
-        return FrameMethod.MINIMAX_SEARCH
+    if eigenframe is not None:
+        rotation, smallest = eigenframe
+        if smallest > 1e-12:
+            return FrameMethod.MINIMAX_SEARCH
+        offsets = povm.directions @ rotation[:, 0]
+        if offsets @ offsets < 1e-24:
+            return FrameMethod.COPLANAR_BISECTION
     if np.linalg.svd(povm.directions, compute_uv=False)[-1] < COPLANAR_SVAL:
         return FrameMethod.COPLANAR_BISECTION
     return FrameMethod.MINIMAX_SEARCH
@@ -208,32 +211,27 @@ _IDENTITY_CUBE = CubeVertices.from_rotation(rotation_from_euler_zyz(0.0, 0.0, 0.
 def find_frame(povm: QubitPovm) -> FrameCertificate:
     """Certify a coordinate frame with all eight vertex values at most 1.
 
-    One construction serves every POVM: the identity, then the eigenframe
-    of ``M = sum_i p_i a_i a_i^T``; the first that certifies is returned.
-    The eigenframe always certifies (see the module docstring).  Trying the
-    identity first keeps the standard basis wherever it certifies.  The
-    certificate's ``method`` labels the class of the POVM (see
-    :class:`FrameMethod`).
-
-    Raises :class:`FrameNotFoundError` if the eigenframe is not a proper
-    rotation or its eight re-evaluated vertex values fail the check, which
-    signals an internal numerical failure since a valid frame always exists.
+    Returns the identity where it certifies, else the eigenframe of ``M``,
+    which always does (module docstring); ``method`` labels the POVM's class
+    (:class:`FrameMethod`).  An eigenframe that is not a proper rotation or
+    does not certify raises :class:`FrameNotFoundError`: an internal
+    numerical failure, since a valid frame always exists.
     """
     require_valid(povm)
-    cert = _certificate(povm, _IDENTITY_CUBE, FrameMethod.MINIMAX_SEARCH)
-    smallest = None
-    if cert.max_value > 1.0 + FRAME_ATOL:
-        rotation, smallest = _second_moment_frame(povm)
+    cube, eigenframe = _IDENTITY_CUBE, None
+    projections, values, max_value = _evaluate(povm, cube)
+    if max_value > 1.0 + FRAME_ATOL:
+        eigenframe = _second_moment_frame(povm)
         try:
-            cube = CubeVertices.from_rotation(rotation)
+            cube = CubeVertices.from_rotation(eigenframe[0])
         except ValueError as exc:
             raise FrameNotFoundError(f"eigenframe: {exc}") from exc
-        cert = _certificate(povm, cube, FrameMethod.MINIMAX_SEARCH)
-    method = _label(povm, smallest)
-    if method is not cert.method:
-        cert = replace(cert, method=method)
-    if cert.max_value > 1.0 + FRAME_ATOL:
+        projections, values, max_value = _evaluate(povm, cube)
+    method = _label(povm, eigenframe)
+    if max_value > 1.0 + FRAME_ATOL:
         raise FrameNotFoundError(
-            f"{cert.method.value} frame does not certify: max vertex value {cert.max_value}"
+            f"{method.value} frame does not certify: max vertex value {max_value}"
         )
-    return cert
+    projections.setflags(write=False)
+    values.setflags(write=False)
+    return FrameCertificate(cube, values, max_value, method, povm, projections)

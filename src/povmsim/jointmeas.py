@@ -111,6 +111,8 @@ _MC_BLOCK = 1 << 14
 # Half-width of the band around each float32 decision inside which a
 # sample is recomputed in float64 (module docstring).
 _GUARD = 2.0**-14
+# Scales of a reconstruction's (t, w) rows: G_s has t = 1/8, w = v_s / 16.
+_TW_SCALE = np.array([[1 / 8], [1 / 16], [1 / 16], [1 / 16]])
 
 
 class InvalidFrameError(ValueError):
@@ -176,30 +178,28 @@ def build_table(povm: QubitPovm, frame: FrameCertificate) -> ConditionalProbabil
     """
     projections = _projections(povm, frame)
     if frame.max_value > 1.0 + FRAME_ATOL:
-        raise InvalidFrameError(
-            f"frame max vertex value {frame.max_value} exceeds 1 + {FRAME_ATOL}"
-        )
-    deterministic = projections * povm.weights
-    vertex_mass = deterministic.sum(axis=1)
-    alphas = povm.weights / 2.0 - deterministic.sum(axis=0) / 8.0
-    alpha_sum = float(alphas.sum())
+        raise InvalidFrameError(f"frame max vertex value {frame.max_value} exceeds 1 + {FRAME_ATOL}")
+    w = povm.weights
+    deterministic = projections * w
+    alphas = w / 2.0 - np.add.reduce(deterministic, axis=0) / 8.0
+    alpha_sum = float(np.add.reduce(alphas))
     if alpha_sum < ROUND_OFF:
         # All vertex values equal 1, the deterministic term already
         # normalises and the noise term would be 0/0.
-        table = deterministic.copy()
+        table = deterministic
     else:
-        table = (1.0 - vertex_mass)[:, None] * (alphas / alpha_sum)
+        table = (1.0 - np.add.reduce(deterministic, axis=1))[:, None] * (alphas / alpha_sum)
         table += deterministic
     # Entries within FRAME_ATOL outside [0, 1], possible when the frame sits
     # at its acceptance tolerance, are clamped into [0, 1].  A table inside
     # [0, 1] is left as it is, as np.clip would leave it.
-    low, high = table.min(), table.max()
+    low, high = np.minimum.reduce(table, axis=None), np.maximum.reduce(table, axis=None)
     if low < -FRAME_ATOL or high > 1.0 + FRAME_ATOL:
         raise InvalidFrameError("conditional probabilities escape [0, 1] beyond tolerance")
     if low < 0.0 or high > 1.0:
         np.clip(table, 0.0, 1.0, out=table)
-    row_sums = table.sum(axis=1)
-    renorm_residual = float(np.abs(row_sums - 1.0).max())
+    row_sums = np.add.reduce(table, axis=1)
+    renorm_residual = max([abs(r - 1.0) for r in row_sums.tolist()])
     table /= row_sums[:, None]
     table.setflags(write=False)
     alphas.setflags(write=False)
@@ -230,33 +230,30 @@ def verify_decomposition(cpt: ConditionalProbabilityTable) -> DecompositionRepor
     contributes exactly ``alpha_i I``.
     """
     povm, frame = cpt.povm, cpt.frame
-    vertices = frame.cube.vertices
-    table = cpt.table
-    # Reconstruction in (t, w) components; G_s has t = 1/8, w = v_s / 16.
-    recon_t = table.sum(axis=0) / 8.0
-    recon_w = table.T @ vertices / 16.0
-    target_t = povm.weights / 2.0
-    target_w = povm.weights[:, None] * povm.directions / 4.0
-    residuals = np.maximum(
-        np.abs(recon_t - target_t),
-        np.abs(recon_w - target_w).max(axis=1),
-    )
-    deterministic = frame.projections * povm.weights
-    det_t = deterministic.sum(axis=0) / 8.0
-    det_w = deterministic.T @ vertices / 16.0
-    det_res = np.maximum(
-        np.abs(det_t - (target_t - cpt.alphas)),
-        np.abs(det_w - target_w).max(axis=1),
-    )
-    noise = table - deterministic
-    noise_t = noise.sum(axis=0) / 8.0
-    noise_w = noise.T @ vertices / 16.0
-    noise_res = np.maximum(np.abs(noise_t - cpt.alphas), np.abs(noise_w).max(axis=1))
+    w = povm.weights
+    # The table, its deterministic term and its noise term, reconstructed
+    # together as (t, w) rows; G_s has t = 1/8 and w = v_s / 16.
+    terms = np.empty((3,) + cpt.table.shape)
+    terms[0] = cpt.table
+    np.multiply(frame.projections, w, out=terms[1])
+    np.subtract(terms[0], terms[1], out=terms[2])
+    recon = np.empty((3, 4, len(w)))
+    np.add.reduce(terms, axis=1, out=recon[:, 0])
+    np.matmul(frame.cube.vertices.T, terms, out=recon[:, 1:])
+    recon *= _TW_SCALE
+    # Less their targets: the half-visibility outcome, it minus alpha_i I, and alpha_i I.
+    half = w / 2.0
+    recon[0, 0] -= half
+    recon[1, 0] -= half - cpt.alphas
+    recon[2, 0] -= cpt.alphas
+    recon[:2, 1:] -= povm.directions.T * w / 4.0
+    residuals = np.maximum.reduce(np.abs(recon, out=recon), axis=1)
+    total, deterministic, noise = np.maximum.reduce(residuals, axis=1).tolist()
     return DecompositionReport(
-        per_outcome=residuals,
-        max_residual=float(residuals.max()),
-        deterministic_residual=float(det_res.max()),
-        noise_residual=float(noise_res.max()),
+        per_outcome=residuals[0],
+        max_residual=total,
+        deterministic_residual=deterministic,
+        noise_residual=noise,
     )
 
 
@@ -423,10 +420,8 @@ def _sample_table(
     outcomes of each (octant, column) cell are one exact multinomial draw
     from that octant's row.
 
-    A chunk of ``m`` samples reads its PCG64 stream at fixed offsets: the
-    ``z`` at ``[0, m)``, azimuths at ``[m, 2m)``, uniforms at ``[2m, 3m)``
-    and multinomials from ``3m``.  So it runs in blocks of ``_MC_BLOCK``
-    samples, with one block's arrays.  The samples the float32 filter
+    A chunk reads its stream at the fixed offsets of the module docstring,
+    in blocks of ``_MC_BLOCK`` samples; the samples the float32 filter
     leaves undecided are kept and classified exactly once per chunk.
     """
     if workers < 1:

@@ -17,6 +17,7 @@ re-validates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -51,8 +52,8 @@ class QubitPovm:
     _validation: PovmValidation | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
-        d = np.atleast_2d(np.asarray(self.directions, dtype=float)).copy()
+        w = np.array(self.weights, dtype=float, ndmin=1)
+        d = np.array(self.directions, dtype=float, ndmin=2)
         if d.shape != (w.shape[0], 3):
             raise ValueError("directions must have shape (n_outcomes, 3)")
         w.setflags(write=False)
@@ -93,45 +94,45 @@ class PovmValidation:
     closure_residual: float
 
     @property
-    def directions_unit(self) -> bool:
-        return self.unit_norm_residual <= VALIDATION_ATOL
-
-    @property
-    def weight_sum_ok(self) -> bool:
-        return self.weight_sum_residual <= VALIDATION_ATOL
-
-    @property
-    def closure_ok(self) -> bool:
-        return self.closure_residual <= VALIDATION_ATOL
-
-    @property
     def passed(self) -> bool:
-        return (
-            self.weights_nonnegative
-            and self.directions_unit
-            and self.weight_sum_ok
-            and self.closure_ok
+        """Weights nonnegative and every residual at most ``VALIDATION_ATOL``; NaN fails."""
+        return self.weights_nonnegative and all(
+            r <= VALIDATION_ATOL
+            for r in (self.unit_norm_residual, self.weight_sum_residual, self.closure_residual)
         )
 
 
 def validate(povm: QubitPovm) -> PovmValidation:
     """Report-style check of the four POVM invariants.
 
-    Returns the report :func:`require_valid` stored, if any.
+    Returns the report :func:`require_valid` stored, if any.  numpy forms
+    the sums and products; minimum and maximum run on Python floats, with
+    NaN and signed zeros as ``ndarray.min`` and ``max`` give them.
     """
     if povm._validation is not None:
         return povm._validation
     w, d = povm.weights, povm.directions
-    live = d[w > 0]
-    # The reductions np.linalg.norm evaluates for these shapes, without its wrapper.
-    norms = np.sqrt(np.add.reduce(live * live, axis=1))
-    closure = w @ d
+    weights = w.tolist()
+    total = float(np.add.reduce(w))
+    # np.linalg.norm's reductions for these shapes, without its wrapper.
+    norms = np.sqrt(np.add.reduce(d * d, axis=1)).tolist()
+    if math.isfinite(total):
+        closure = w @ d
+    else:  # an infinite weight times a zero component: NaN, without numpy's warning
+        with np.errstate(invalid="ignore"):
+            closure = w @ d
+    off_unit = [abs(r - 1.0) for p, r in zip(weights, norms) if p > 0]
+    unit = math.nan if math.isnan(sum(off_unit)) else max(off_unit, default=0.0)
+    lowest = min(weights, default=0.0)
+    # A sum free of NaN rules out NaN weights; a tie of zeros takes numpy's sign.
+    if weights and (lowest == 0.0 or math.isnan(total)):
+        lowest = float(w.min())
     return PovmValidation(
-        weights_nonnegative=bool((w >= 0).all()),
-        min_weight=float(w.min()) if w.size else 0.0,
-        unit_norm_residual=float(np.abs(norms - 1.0).max()) if norms.size else 0.0,
-        weight_sum_residual=abs(float(w.sum()) - 2.0),
-        closure_residual=float(np.sqrt(closure.dot(closure))),
+        weights_nonnegative=lowest >= 0,
+        min_weight=lowest,
+        unit_norm_residual=unit,
+        weight_sum_residual=abs(total - 2.0),
+        closure_residual=math.sqrt(closure.dot(closure)),
     )
 
 
@@ -298,18 +299,22 @@ def povm_to_dict(povm: QubitPovm) -> dict:
 
 
 def povm_from_dict(data: dict) -> QubitPovm:
+    """POVM of a JSON document.  An outcome with ``|p| < ROUND_OFF`` is dropped;
+    a negative or non-finite weight is kept, and fails :func:`require_valid`."""
     try:
         outcomes = data["outcomes"]
         weights = np.array([o["p"] for o in outcomes], dtype=float)
         directions = np.array([o["a"] for o in outcomes], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise NotAPovmError(f"malformed POVM document: {exc}") from exc
-    if directions.ndim != 2 or directions.shape[1] != 3:
-        raise NotAPovmError("each outcome direction must be a 3-vector")
-    keep = weights >= ROUND_OFF
-    weights, directions = weights[keep], directions[keep]
+    if weights.ndim != 1 or directions.ndim != 2 or directions.shape[1] != 3:
+        raise NotAPovmError("each outcome needs a number p and a 3-vector a")
+    # min() passes over a NaN unless it comes first; NaN is kept either way.
+    if not min(map(abs, weights.tolist()), default=1.0) >= ROUND_OFF:
+        kept = [k for k, p in enumerate(weights.tolist()) if not abs(p) < ROUND_OFF]
+        weights, directions = weights[kept], directions[kept]
     norms = np.sqrt(np.add.reduce(directions * directions, axis=1))
-    if (norms == 0).any():
+    if 0.0 in norms.tolist():
         raise NotAPovmError("outcome with nonzero weight has a zero direction")
     return require_valid(QubitPovm(weights, directions / norms[:, None]))
 

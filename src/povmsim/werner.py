@@ -28,6 +28,7 @@ are drawn with one multinomial per (octant, Bob outcome) cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,7 @@ def bob_conditional_state(cpt: ConditionalProbabilityTable, i: int) -> PauliOper
 
 def _unit_setting(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (3,) or not np.all(np.isfinite(x)):
+    if x.shape != (3,) or not all(map(math.isfinite, x.tolist())):
         raise ValueError(f"a setting must be a finite 3-vector, got {x!r}")
     norm = float(np.linalg.norm(x))
     if abs(norm - 1.0) > VALIDATION_ATOL:

@@ -48,10 +48,17 @@ RANDOM_FILES = {
     "r16s3": (16, 3),
 }
 
-# name -> document; neither loads as a POVM.
+# name -> document; none loads as a POVM.  The loader drops only weights
+# with |p| < ROUND_OFF, so a negative or non-finite weight fails validation.
+_BAD_WEIGHT = (
+    '{"outcomes": [{"p": %s, "a": [1, 0, 0]}, {"p": 1, "a": [0, 0, 1]}, {"p": 1, "a": [0, 0, -1]}]}'
+)
 BAD_FILES = {
     "malformed.json": '{"outcomes": [',
     "invalid.json": '{"outcomes": [{"p": 1.0, "a": [0, 0, 1]}]}',
+    "negative_weight.json": _BAD_WEIGHT % "-0.5",
+    "nan_weight.json": _BAD_WEIGHT % "NaN",
+    "minus_infinity_weight.json": _BAD_WEIGHT % "-Infinity",
 }
 
 # Each exits 2 with empty stdout and one stderr line.
@@ -60,6 +67,9 @@ FAILURES = (
     ["simulate", "-p", "@sic.json", "--state", "nan,0,0"],
     ["verify", "-p", "@malformed.json"],
     ["verify", "-p", "@invalid.json"],
+    ["verify", "-p", "@negative_weight.json"],
+    ["verify", "-p", "@nan_weight.json"],
+    ["verify", "-p", "@minus_infinity_weight.json"],
     ["simulate", "-p", "@sic.json", "--workers", "0"],
     ["chsh", "--eta", "1.2"],
     ["random", "1"],

@@ -20,9 +20,11 @@ quantities along independent routes, so tests can compare the two:
 * ``evaluate_frame``, the certificate of an explicit rotation, for tests
   that need a frame ``find_frame`` would not return;
 * the SIC any-frame bound probed at random points of radius sqrt(3);
-* the numpy forms of two certify kernels that production evaluates in
-  Python floats: ``is_rotation`` with ``mat.T @ mat``, and ``validate``
-  with ``np.linalg.norm``;
+* the numpy forms of the certify kernels, whose exact steps production
+  runs in Python floats or with fewer numpy calls: ``is_rotation`` with
+  ``mat.T @ mat``, ``validate`` with ``np.linalg.norm``, the cube vertices,
+  the eigenframe's sign fix-up by ``np.argmax``, and ``build_table`` and
+  ``verify_decomposition`` with one reduction per term;
 * ``save_povm``, the JSON writer the loader's round trip is checked with;
 * the Monte Carlo engine as it was written before its in-place kernel (the
   ``column_stack`` draw, ``(u < 0) @ bits`` octants, the ``np.where`` flip and
@@ -49,7 +51,7 @@ from povmsim.frames import (
     CubeVertices,
     FrameCertificate,
     FrameMethod,
-    _certificate,
+    _evaluate,
     positive_part,
     projection_mass,
 )
@@ -335,7 +337,11 @@ def evaluate_frame(
     With ``check`` enabled the rotation must actually certify, i.e. have
     ``max_value <= 1 + FRAME_ATOL``.
     """
-    cert = _certificate(povm, CubeVertices.from_rotation(rotation), method)
+    cube = CubeVertices.from_rotation(rotation)
+    projections, values, max_value = _evaluate(povm, cube)
+    projections.setflags(write=False)
+    values.setflags(write=False)
+    cert = FrameCertificate(cube, values, max_value, method, povm, projections)
     if check and cert.max_value > 1.0 + FRAME_ATOL:
         raise ValueError(f"rotation does not certify: max vertex value {cert.max_value}")
     return cert
@@ -367,6 +373,62 @@ def validate_numpy(povm: QubitPovm) -> PovmValidation:
         weight_sum_residual=abs(float(w.sum()) - 2.0),
         closure_residual=float(np.linalg.norm(w @ d)),
     )
+
+
+def cube_vertices_numpy(rotation: np.ndarray) -> np.ndarray:
+    """``CubeVertices.from_rotation``'s vertices by a product and a reversed negation."""
+    verts = np.empty((8, 3))
+    verts[:4] = OCTANT_SIGNS[:4] @ rotation.T
+    verts[4:] = -verts[:4][::-1]
+    return verts
+
+
+def second_moment_frame_numpy(povm: QubitPovm) -> tuple[np.ndarray, float]:
+    """The eigenframe with its sign fix-up by ``np.argmax`` pivots and ``np.where``."""
+    d = povm.directions
+    values, vecs = np.linalg.eigh((d.T * povm.weights) @ d)
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(3)]
+    vecs = vecs * np.where(pivots < 0, -1.0, 1.0)
+    if np.linalg.det(vecs) < 0:
+        vecs[:, 2] = -vecs[:, 2]
+    return vecs, float(values[0])
+
+
+def build_table_numpy(povm: QubitPovm, frame: FrameCertificate) -> tuple[np.ndarray, np.ndarray, float]:
+    """``build_table``'s alphas, table and renormalisation residual, reductions in numpy."""
+    deterministic = frame.projections * povm.weights
+    vertex_mass = deterministic.sum(axis=1)
+    alphas = povm.weights / 2.0 - deterministic.sum(axis=0) / 8.0
+    alpha_sum = float(alphas.sum())
+    if alpha_sum < ROUND_OFF:
+        table = deterministic.copy()
+    else:
+        table = (1.0 - vertex_mass)[:, None] * (alphas / alpha_sum)
+        table += deterministic
+    if table.min() < 0.0 or table.max() > 1.0:
+        np.clip(table, 0.0, 1.0, out=table)
+    row_sums = table.sum(axis=1)
+    return alphas, table / row_sums[:, None], float(np.abs(row_sums - 1.0).max())
+
+
+def verify_decomposition_numpy(cpt) -> tuple[np.ndarray, float, float, float]:
+    """``verify_decomposition``'s residuals, each of the three terms reconstructed on its own."""
+    povm, vertices = cpt.povm, cpt.frame.cube.vertices
+    target_t = povm.weights / 2.0
+    target_w = povm.weights[:, None] * povm.directions / 4.0
+    deterministic = cpt.frame.projections * povm.weights
+    residuals = []
+    for term, t_target, w_target in (
+        (cpt.table, target_t, target_w),
+        (deterministic, target_t - cpt.alphas, target_w),
+        (cpt.table - deterministic, cpt.alphas, 0.0),
+    ):
+        recon_t = term.sum(axis=0) / 8.0
+        recon_w = term.T @ vertices / 16.0
+        residuals.append(
+            np.maximum(np.abs(recon_t - t_target), np.abs(recon_w - w_target).max(axis=1))
+        )
+    return residuals[0], *(float(r.max()) for r in residuals)
 
 
 # The tetrahedral (SIC) POVM: every frame certifies, since M = (2/3) I.

@@ -1,13 +1,23 @@
 """The certify kernels against their numpy forms in ``oracles``.
 
 ``is_rotation`` must take the same decision; ``validate`` must report equal
-residuals.  ``tests/golden/certify.json`` pins the same kernels end to end.
+residuals; the cube vertices, the eigenframe, the table and the
+decomposition residuals must agree byte for byte.
+``tests/golden/certify.json`` pins the same kernels end to end.
 """
 
 import itertools
 
 import numpy as np
-from oracles import is_rotation_numpy, random_rotations, validate_numpy
+from oracles import (
+    build_table_numpy,
+    cube_vertices_numpy,
+    is_rotation_numpy,
+    random_rotations,
+    second_moment_frame_numpy,
+    validate_numpy,
+    verify_decomposition_numpy,
+)
 from povm_families import (
     duplicate_direction_povm,
     general_position_povm,
@@ -18,8 +28,9 @@ from povm_families import (
     zero_weight_povm,
 )
 
-from povmsim.bloch import _det3, is_rotation
-from povmsim.frames import _second_moment_frame
+from povmsim.bloch import _det3, is_rotation, rotation_from_euler_zyz
+from povmsim.frames import CubeVertices, _label, _second_moment_frame, find_frame
+from povmsim.jointmeas import build_table, verify_decomposition
 from povmsim.povm import QubitPovm, povm_from_dict, povm_to_dict, random_povm, validate
 
 
@@ -102,3 +113,52 @@ def test_loader_normalises_as_linalg_norm():
         want = directions / np.linalg.norm(directions, axis=1)[:, None]
         assert loaded.directions.tobytes() == want.tobytes()
         assert validate(loaded) == validate_numpy(loaded)
+
+
+def test_cube_vertices_bytes_equal():
+    rng = np.random.default_rng(86)
+    euler = [rotation_from_euler_zyz(*angles) for angles in ((0.0, 0.0, 0.0), (np.pi, 0.0, 0.0))]
+    for rot in euler + list(random_rotations(300, rng)):
+        assert CubeVertices.from_rotation(rot).vertices.tobytes() == cube_vertices_numpy(rot).tobytes()
+
+
+def test_certify_chain_bytes_equal():
+    for povm in validation_families():
+        if not validate(povm).passed:
+            continue
+        rotation, smallest = _second_moment_frame(povm)
+        want_rotation, want_smallest = second_moment_frame_numpy(povm)
+        assert rotation.tobytes() == want_rotation.tobytes() and smallest == want_smallest
+        frame = find_frame(povm)
+        cpt = build_table(povm, frame)
+        alphas, table, renorm = build_table_numpy(povm, frame)
+        assert cpt.alphas.tobytes() == alphas.tobytes() and cpt.table.tobytes() == table.tobytes()
+        assert np.float64(cpt.renorm_residual).tobytes() == np.float64(renorm).tobytes()
+        report = verify_decomposition(cpt)
+        per_outcome, *maxima = verify_decomposition_numpy(cpt)
+        assert report.per_outcome.tobytes() == per_outcome.tobytes()
+        got = (report.max_residual, report.deterministic_residual, report.noise_residual)
+        assert np.array(got).tobytes() == np.array(maxima).tobytes()
+
+
+def test_label_bounds_agree_with_the_svd():
+    """The eigenvalue and ``|D e|`` bounds give the SVD's label, across the threshold."""
+    rng = np.random.default_rng(87)
+    povms = [p for p in validation_families() if validate(p).passed]
+    for k, eps in enumerate(np.logspace(-16, -4, 97)):
+        base = planar_povm(3 + k % 20, 90_000 + k)
+        pair = rng.uniform(0.05, 0.5)
+        normal = np.cross(base.directions[0], base.directions[1])
+        tilt = base.directions[0] * np.cos(eps) + normal / np.linalg.norm(normal) * np.sin(eps)
+        povms.append(
+            QubitPovm(
+                np.append(base.weights * (1.0 - pair / 2.0), [pair, pair]),
+                np.vstack([base.directions, tilt, -tilt]),
+            )
+        )
+    labels = set()
+    for povm in povms:
+        frame = _second_moment_frame(povm)
+        labels.add(_label(povm, frame))
+        assert _label(povm, frame) is _label(povm, None)
+    assert len(labels) == 3

@@ -5,7 +5,7 @@ import pytest
 from oracles import canonicalize, random_povm_operator_route, save_povm, to_dense
 
 from povmsim import povm as povm_module
-from povmsim.bloch import PauliOperator
+from povmsim.bloch import ROUND_OFF, PauliOperator
 from povmsim.cli import EXIT_INPUT, main
 from povmsim.frames import find_frame
 from povmsim.povm import (
@@ -47,6 +47,53 @@ class TestValidate:
         assert not report.passed
         assert report.weight_sum_residual == pytest.approx(0.5)
         assert report.closure_residual == pytest.approx(0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+_Z_PAIR = [[0, 0, 1], [0, 0, -1]]
+
+# (weights, directions, report fields as a tuple).  NaN propagates into a
+# minimum, maximum or residual wherever it enters one; a zero-weight
+# outcome's direction enters the closure residual only.  A minimum over
+# signed zeros keeps numpy's choice.
+NON_FINITE_REPORTS = {
+    "nan_weight_first": ([NAN, 1, 1], [[1, 0, 0]] + _Z_PAIR, (False, NAN, 0.0, NAN, NAN)),
+    "nan_weight_last": ([1, 1, NAN], _Z_PAIR + [[1, 0, 0]], (False, NAN, 0.0, NAN, NAN)),
+    "inf_weight": ([1, 1, INF], _Z_PAIR + [[1, 0, 0]], (True, 1.0, 0.0, INF, NAN)),
+    "neg_inf_weight": ([-INF, 1, 1], [[1, 0, 0]] + _Z_PAIR, (False, -INF, 0.0, INF, NAN)),
+    "both_infinities": (
+        [INF, -INF, 1, 1], [[1, 0, 0], [1, 0, 0]] + _Z_PAIR, (False, -INF, 0.0, NAN, NAN)
+    ),
+    "nan_direction_last": ([1, 1, 0.5], _Z_PAIR + [[NAN, 0, 0]], (True, 0.5, NAN, 0.5, NAN)),
+    "nan_direction_first": ([0.5, 1, 1], [[NAN, 0, 0]] + _Z_PAIR, (True, 0.5, NAN, 0.5, NAN)),
+    "inf_direction": ([1, 1, 0.5], _Z_PAIR + [[INF, 0, 0]], (True, 0.5, INF, 0.5, INF)),
+    "nan_direction_zero_weight": (
+        [1, 1, 0.0], _Z_PAIR + [[NAN, 0, 0]], (True, 0.0, 0.0, 0.0, NAN)
+    ),
+    "inf_direction_nan_weight": ([NAN, 1, 1], [[INF, 0, 0]] + _Z_PAIR, (False, NAN, 0.0, NAN, NAN)),
+    "signed_zeros": ([1, 1, 0.0, -0.0], _Z_PAIR + [[1, 0, 0], [0, 1, 0]], (True, -0.0, 0.0, 0.0, 0.0)),
+    "signed_zeros_reversed": (
+        [1, 1, -0.0, 0.0], _Z_PAIR + [[1, 0, 0], [0, 1, 0]], (True, 0.0, 0.0, 0.0, 0.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_REPORTS))
+def test_validate_pins_non_finite_and_signed_zero_reports(case):
+    weights, directions, expected = NON_FINITE_REPORTS[case]
+    povm = QubitPovm(np.array(weights, dtype=float), np.array(directions, dtype=float))
+    with np.errstate(all="ignore"):
+        report = validate(povm)
+    fields = (
+        report.weights_nonnegative,
+        report.min_weight,
+        report.unit_norm_residual,
+        report.weight_sum_residual,
+        report.closure_residual,
+    )
+    # repr tells NaN, inf and the sign of zero apart.
+    assert repr(fields) == repr(expected)
+    assert report.passed is case.startswith("signed_zeros")
 
 
 @pytest.fixture
@@ -338,6 +385,52 @@ class TestJsonFormat:
         path.write_text(json.dumps({"outcomes": [{"p": 1.0}]}))
         with pytest.raises(NotAPovmError):
             load_povm(path)
+
+
+def _with_first_weight(weight) -> dict:
+    return {
+        "outcomes": [
+            {"p": weight, "a": [1.0, 0.0, 0.0]},
+            {"p": 1.0, "a": [0.0, 0.0, 1.0]},
+            {"p": 1.0, "a": [0.0, 0.0, -1.0]},
+        ]
+    }
+
+
+class TestLoaderWeights:
+    """The loader drops only ``|p| < ROUND_OFF``; every other weight reaches validation."""
+
+    @pytest.mark.parametrize("weight", [-0.5, NAN, -INF, INF, -ROUND_OFF])
+    def test_bad_weight_fails_validation(self, weight, tmp_path, capsys):
+        doc = _with_first_weight(weight)
+        with pytest.raises(NotAPovmError, match="invalid POVM"):
+            povm_from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "-p", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid POVM") and "Warning" not in captured.err
+
+    def test_weights_below_round_off_are_dropped(self):
+        sic = povm_to_dict(sic_povm())
+        tiny = [
+            {"p": 0.5 * ROUND_OFF, "a": [1.0, 0.0, 0.0]},
+            {"p": -0.5 * ROUND_OFF, "a": [0.0, 1.0, 0.0]},
+            {"p": 0.0, "a": [0.0, 0.0, 0.0]},
+            {"p": -0.0, "a": [0.0, 0.0, 1.0]},
+        ]
+        loaded = povm_from_dict({"outcomes": tiny[:2] + sic["outcomes"] + tiny[2:]})
+        reference = povm_from_dict(sic)
+        assert loaded.weights.tobytes() == reference.weights.tobytes()
+        assert loaded.directions.tobytes() == reference.directions.tobytes()
+        assert validate(loaded) == validate(reference)
+
+    def test_weight_at_round_off_is_kept(self):
+        doc = povm_to_dict(sic_povm())
+        doc["outcomes"].append({"p": ROUND_OFF, "a": [1.0, 0.0, 0.0]})
+        # 1e-12 more weight and closure stays within VALIDATION_ATOL.
+        assert povm_from_dict(doc).n_outcomes == 5
 
 
 def xz_parent_povm() -> QubitPovm:
