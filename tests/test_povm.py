@@ -412,6 +412,11 @@ class TestLoaderWeights:
         assert captured.out == ""
         assert captured.err.startswith("error: invalid POVM") and "Warning" not in captured.err
 
+    def test_weight_that_is_not_a_number_is_malformed(self):
+        doc = {"outcomes": [{"p": [1.0, 2.0], "a": [0, 0, 1]}, {"p": [1.0, 2.0], "a": [0, 0, -1]}]}
+        with pytest.raises(NotAPovmError, match="a number p and a 3-vector a"):
+            povm_from_dict(doc)
+
     def test_weights_below_round_off_are_dropped(self):
         sic = povm_to_dict(sic_povm())
         tiny = [

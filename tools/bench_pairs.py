@@ -17,8 +17,8 @@ median and quartiles (as ``statistics.quantiles(values, n=4)`` gives
 them), the change's relative median shift, its number of winning pairs, and
 whether the medians differ by more than the parent's interquartile range;
 then every run, the seeds, ``nproc``, the BLAS thread count, the Python and
-numpy versions, both commits and both ``src/`` line counts.  Standard
-library only.
+numpy versions, both commits and both ``src/`` line counts and digests.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ def git(*args: str) -> str:
 
 
 def checkout(where: str, scratch: Path, name: str) -> tuple[Path, str | None]:
-    """A directory for ``where`` and the commit it holds (None for a working tree)."""
+    """A directory for ``where`` and its commit.
+
+    A directory's commit is its git ``HEAD``, or None without ``.git``; it
+    may hold uncommitted edits, which its runs' ``src_sha256`` shows.
+    """
     path = Path(where)
     if path.is_dir():
         path = path.resolve()
@@ -181,9 +185,9 @@ def main(argv: list[str] | None = None) -> int:
                 "load_average": os.getloadavg(),
             },
             "sides": {
-                side: {"where": args.parent if side == "parent" else args.change, "commit": commit,
+                side: {"where": "directory" if Path(where).is_dir() else where, "commit": commit,
                        "src_lines": src_lines(path), "src_sha256": meta_of(runs, side)["src_sha256"]}
-                for side, (path, commit) in sides.items()
+                for (side, (path, commit)), where in zip(sides.items(), (args.parent, args.change))
             },
             "metrics": summarize(runs, spec),
             "runs": [{k: v for k, v in r.items() if k != "metadata"} for r in runs],
