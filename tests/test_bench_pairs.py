@@ -45,9 +45,11 @@ def test_summary_without_a_gap():
     assert not out["gap_exceeds_parent_iqr"]
 
 
-def test_seeds_cycle_over_the_pairs():
-    assert bench_pairs.parse_seeds("1-3", 5) == [1, 2, 3, 1, 2]
-    assert bench_pairs.parse_seeds("4,9", 3) == [4, 9, 4]
+def test_seed_count_must_match_the_pairs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--workload", "certify_corpus", "--pairs", "5", "--seeds", "1-3"])
+    assert exc.value.code == 2
+    assert "names 3 seeds for 5 pairs" in capsys.readouterr().err
 
 
 def test_src_lines_is_wc_l(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -403,14 +404,17 @@ class TestLoaderWeights:
     @pytest.mark.parametrize("weight", [-0.5, NAN, -INF, INF, -ROUND_OFF])
     def test_bad_weight_fails_validation(self, weight, tmp_path, capsys):
         doc = _with_first_weight(weight)
-        with pytest.raises(NotAPovmError, match="invalid POVM"):
-            povm_from_dict(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        assert main(["verify", "-p", str(path)]) == EXIT_INPUT
+        # pytest records warnings instead of printing them: make any warning fail.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAPovmError, match="invalid POVM"):
+                povm_from_dict(doc)
+            assert main(["verify", "-p", str(path)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: invalid POVM") and "Warning" not in captured.err
+        assert captured.err.startswith("error: invalid POVM")
 
     def test_weight_that_is_not_a_number_is_malformed(self):
         doc = {"outcomes": [{"p": [1.0, 2.0], "a": [0, 0, 1]}, {"p": [1.0, 2.0], "a": [0, 0, -1]}]}

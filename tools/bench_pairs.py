@@ -1,16 +1,18 @@
 """Paired benchmark runs of a parent checkout and a change, written to ``BENCH_<workload>.json``.
 
     python3 tools/bench_pairs.py --workload certify_corpus --pairs 10
-    python3 tools/bench_pairs.py --workload werner_tables --parent HEAD~2 --change HEAD --pairs 4
+    python3 tools/bench_pairs.py --workload werner_tables --parent HEAD~2 --change HEAD --pairs 4 --seeds 1-4
 
 Each side is a directory holding a checkout: ``--parent`` and ``--change``
 take a directory as it is, or a git revision of this repository, which is
 exported with ``git archive`` into a temporary directory, so that only
 committed files are measured.  The defaults are ``HEAD^`` and the working
 tree.  Pair ``k`` runs the unchanged ``perfbench/run.py --workload W --seed
-s_k --seconds T --trace 0`` once in each checkout, the parent first in
-even pairs and the change first in odd ones, so drift in machine speed
-falls on both sides alike.
+s_k --seconds T --trace 0`` once in each checkout, at the benchmark's own
+run length ``T`` (``run_seconds`` in ``BENCHMARK.json``), the parent first
+in even pairs and the change first in odd ones, so drift in machine speed
+falls on both sides alike.  ``--seeds`` names one seed per pair, as
+``perfbench/spread.py`` reads it.
 
 The output holds, per end-to-end metric of ``BENCHMARK.json``, each side's
 median and quartiles (as ``statistics.quantiles(values, n=4)`` gives
@@ -34,6 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from spread import parse_seeds  # noqa: E402
 
 
 def git(*args: str) -> str:
@@ -132,28 +137,19 @@ def meta_of(runs: list[dict], side: str) -> dict:
     return next(r["metadata"] for r in runs if r["side"] == side)
 
 
-def parse_seeds(text: str, pairs: int) -> list[int]:
-    if "-" in text:
-        lo, hi = (int(x) for x in text.split("-"))
-        seeds = list(range(lo, hi + 1))
-    else:
-        seeds = [int(s) for s in text.split(",")]
-    return [seeds[k % len(seeds)] for k in range(pairs)]
-
-
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--seeds", default="1-10", help="one seed per pair, cycled: 1-10 or 1,4,7")
+    parser.add_argument("--seeds", default="1-10", help="one seed per pair: 1-10 or 1,4,7")
     parser.add_argument("--parent", default="HEAD^", help="directory or git revision")
     parser.add_argument("--change", default=str(ROOT), help="directory or git revision")
-    parser.add_argument("--out", type=Path, default=None, help="default: BENCH_<workload>.json")
     args = parser.parse_args(argv)
-    out = args.out or ROOT / f"BENCH_{args.workload}.json"
-    seeds = parse_seeds(args.seeds, args.pairs)
+    seconds, out = spec["run_seconds"], ROOT / f"BENCH_{args.workload}.json"
+    seeds = parse_seeds(args.seeds)
+    if len(seeds) != args.pairs:
+        parser.error(f"--seeds names {len(seeds)} seeds for {args.pairs} pairs")
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         sides = {
             "parent": checkout(args.parent, Path(tmp), "parent"),
@@ -163,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
-                res = run_once(sides[side][0], args.workload, seed, args.seconds)
+                res = run_once(sides[side][0], args.workload, seed, seconds)
                 runs.append({"pair": k, "seed": seed, "side": side, "position": position, **res})
                 p50 = res["metrics"].get("op_p50_ms")
                 print(f"pair {k} seed {seed} {side:6s} op_p50_ms={p50:.5g} failed={res['failed']}",
@@ -171,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         meta = runs[0]["metadata"]
         doc = {
             "workload": args.workload,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "pairs": args.pairs,
             "seeds": seeds,
             "environment": {
