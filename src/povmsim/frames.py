@@ -178,24 +178,19 @@ def _second_moment_frame(povm: QubitPovm) -> tuple[np.ndarray, float]:
     return np.array(columns).T.copy(), float(values[0])
 
 
-def _label(povm: QubitPovm, eigenframe: tuple[np.ndarray, float] | None) -> FrameMethod:
-    """The :class:`FrameMethod` of ``povm``; the SVD runs only where no bound decides it.
+def _label(povm: QubitPovm, smallest_eigenvalue: float | None) -> FrameMethod:
+    """The :class:`FrameMethod` of ``povm``, without an SVD where ``eigh`` decides it.
 
-    ``M = D^T W D`` for the direction matrix ``D``, and ``w_max <= 2 + 1e-10``:
-    an eigenvalue above ``1e-12`` (``eigh`` is accurate to about 1e-15 here)
-    proves ``sigma_min(D) > 7e-7``.  For its eigenvector ``e``, unit to 1e-12,
-    ``|D e|^2 < 1e-24`` proves ``sigma_min(D) < 1e-12 + 4e-16 sqrt(n)``.  Both
-    lie far from ``COPLANAR_SVAL``, on the side the SVD takes.
+    ``M = D^T W D`` for the direction matrix ``D`` and weights ``W``, so
+    ``lambda_min(M) <= w_max sigma_min(D)^2``, and a valid POVM has ``w_max
+    <= 2 + 1e-10``.  An eigenvalue above ``1e-12`` (``eigh`` is accurate to
+    about 1e-15 here) proves ``sigma_min(D) > 7e-7``, far above
+    ``COPLANAR_SVAL``: the label is ``MinimaxSearch``, as the SVD would say.
     """
     if povm.n_outcomes == 2:
         return FrameMethod.TWO_OUTCOME_EXACT
-    if eigenframe is not None:
-        rotation, smallest = eigenframe
-        if smallest > 1e-12:
-            return FrameMethod.MINIMAX_SEARCH
-        offsets = povm.directions @ rotation[:, 0]
-        if offsets @ offsets < 1e-24:
-            return FrameMethod.COPLANAR_BISECTION
+    if smallest_eigenvalue is not None and smallest_eigenvalue > 1e-12:
+        return FrameMethod.MINIMAX_SEARCH
     if np.linalg.svd(povm.directions, compute_uv=False)[-1] < COPLANAR_SVAL:
         return FrameMethod.COPLANAR_BISECTION
     return FrameMethod.MINIMAX_SEARCH
@@ -218,16 +213,16 @@ def find_frame(povm: QubitPovm) -> FrameCertificate:
     numerical failure, since a valid frame always exists.
     """
     require_valid(povm)
-    cube, eigenframe = _IDENTITY_CUBE, None
+    cube, smallest = _IDENTITY_CUBE, None
     projections, values, max_value = _evaluate(povm, cube)
     if max_value > 1.0 + FRAME_ATOL:
-        eigenframe = _second_moment_frame(povm)
+        rotation, smallest = _second_moment_frame(povm)
         try:
-            cube = CubeVertices.from_rotation(eigenframe[0])
+            cube = CubeVertices.from_rotation(rotation)
         except ValueError as exc:
             raise FrameNotFoundError(f"eigenframe: {exc}") from exc
         projections, values, max_value = _evaluate(povm, cube)
-    method = _label(povm, eigenframe)
+    method = _label(povm, smallest)
     if max_value > 1.0 + FRAME_ATOL:
         raise FrameNotFoundError(
             f"{method.value} frame does not certify: max vertex value {max_value}"

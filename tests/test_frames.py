@@ -385,8 +385,7 @@ class TestOneConstruction:
 
     def test_label_is_the_svd_rule(self):
         # The label skips the SVD when eigh's smallest eigenvalue exceeds
-        # 1e-12 or its eigenvector e has |D e|^2 < 1e-24; on every family it
-        # must still be the SVD rule's.
+        # 1e-12; on every family it must still be the SVD rule's.
         rng = np.random.default_rng(36)
         povms = [general_position_povm(4 + k % 27, 62_000 + k) for k in range(300)]
         povms += [random_povm(2 + k % 12, 63_000 + k) for k in range(300)]

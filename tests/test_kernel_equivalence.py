@@ -142,7 +142,7 @@ def test_certify_chain_bytes_equal():
 
 
 def test_label_bounds_agree_with_the_svd():
-    """The eigenvalue and ``|D e|`` bounds give the SVD's label, across the threshold."""
+    """The eigenvalue bound gives the SVD's label, across the threshold."""
     rng = np.random.default_rng(87)
     povms = [p for p in validation_families() if validate(p).passed]
     for k, eps in enumerate(np.logspace(-16, -4, 97)):
@@ -158,7 +158,7 @@ def test_label_bounds_agree_with_the_svd():
         )
     labels = set()
     for povm in povms:
-        frame = _second_moment_frame(povm)
-        labels.add(_label(povm, frame))
-        assert _label(povm, frame) is _label(povm, None)
+        _, smallest = _second_moment_frame(povm)
+        labels.add(_label(povm, smallest))
+        assert _label(povm, smallest) is _label(povm, None)
     assert len(labels) == 3
